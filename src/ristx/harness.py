@@ -251,6 +251,13 @@ def run_trial(cfg, num_users, num_elements, b, trial_index, surface=None,
     Returns (results, record): one TrialResult per configured scheme, and a
     JSON-serializable trial record when ``with_record`` is set (else None).
     """
+    return _checked_trial(cfg, num_users, num_elements, b, trial_index, surface,
+                          with_record)[1:]
+
+
+def _checked_trial(cfg, num_users, num_elements, b, trial_index, surface,
+                   with_record):
+    """``(trial_seed, results, record)``, errors raised as ``TrialError``."""
     try:
         return _run_trial(cfg, num_users, num_elements, b, trial_index, surface,
                           with_record)
@@ -339,15 +346,14 @@ def _run_trial(cfg, num_users, num_elements, b, trial_index, surface, with_recor
             "noise_var": cfg.noise_var,
             "results": [vars(r) | {"trial_seed": trial_seed} for r in results],
         }
-    return results, record
+    return trial_seed, results, record
 
 
 def trial_rows(cfg, num_users, num_elements, b, trial_index, surface=None):
     """CSV row dicts (one per scheme) for a single trial."""
-    trial_seed = derive_trial_streams(
-        cfg.master_seed, num_users, num_elements, b, trial_index
-    )[0]
-    results, _ = run_trial(cfg, num_users, num_elements, b, trial_index, surface)
+    trial_seed, results, _ = _checked_trial(
+        cfg, num_users, num_elements, b, trial_index, surface, False
+    )
     rows = []
     for r in results:
         rows.append({

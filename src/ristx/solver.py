@@ -7,6 +7,14 @@ real amplification gain ``A`` minimizing ``||s - A * Heff @ w||^2``, where
 The tuner is a projected gradient descent: closed-form gain update, gradient
 step on the unconstrained transmit vector, projection onto the codebook by
 nearest wrapped phase.
+
+For a quantized codebook the projection finds the nearest phase in one
+rounding pass over ``(angle + pi) / spacing``; only entries within 1e-9 of a
+midpoint are decided again by the exact two-candidate distance comparison,
+which fixes the tie and seam rule.  The iterate is carried as integer phase
+indices into the codebook's precomputed ``exp(1j*phases)`` table, so the
+returned phases are read off the table rather than re-quantized.  The
+continuous codebook carries the complex iterate itself.
 """
 
 from __future__ import annotations
@@ -25,12 +33,14 @@ class PhaseCodebook:
     """Set of phases available to each reflecting element.
 
     ``bits=B`` gives the 2**B uniformly spaced phases -pi + i*pi/2**(B-1),
-    i = 0..2**B-1 (spacing pi/2**(B-1), all in [-pi, pi)).  ``bits=None``
-    is the continuous limit, i.e. any phase in [-pi, pi].
+    i = 0..2**B-1 (spacing pi/2**(B-1), all in [-pi, pi)), and ``unit``
+    their points exp(1j*phases) on the unit circle.  ``bits=None`` is the
+    continuous limit, i.e. any phase in [-pi, pi].
     """
 
     bits: int | None
     phases: np.ndarray | None = field(default=None, compare=False)
+    unit: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.bits is None:
@@ -43,6 +53,7 @@ class PhaseCodebook:
             levels = 2**self.bits
             table = -np.pi + np.arange(levels) * (np.pi / 2 ** (self.bits - 1))
             object.__setattr__(self, "phases", table)
+        object.__setattr__(self, "unit", np.exp(1j * self.phases))
 
     @classmethod
     def quantized(cls, bits):
@@ -64,29 +75,72 @@ class PhaseCodebook:
 def quantize_phases(values, codebook):
     """Project complex values entrywise onto the codebook's unit circle.
 
-    For a quantized codebook each entry maps to exp(1j*beta) with beta the
-    codebook phase of smallest wrapped angular distance to the entry's
-    phase; exact midpoints resolve to the smaller phase value.  The
-    continuous codebook divides by the modulus.  Zero entries take the first
-    (lowest) codebook phase, -pi.
+    For a quantized codebook each entry maps to ``codebook.unit[i]``, with
+    phase ``i`` the codebook phase of smallest wrapped angular distance to
+    the entry's phase, found by one rounding pass (see ``_nearest_index``);
+    exact midpoints resolve to the smaller phase value.  The continuous
+    codebook divides by the modulus.  Zero entries take the first (lowest)
+    codebook phase, -pi.
     """
     values = np.asarray(values, dtype=complex)
-    zero = values == 0
+    return _project(values.reshape(-1), codebook)[0].reshape(values.shape)
+
+
+def _project(values, codebook):
+    """``(w, state)``: the projection of ``values`` and the iterate to carry.
+
+    ``state`` is the int index array into ``codebook.unit`` for a quantized
+    codebook, and ``w`` itself for the continuous one.
+    """
     if codebook.is_continuous:
-        out = np.where(zero, np.exp(-1j * np.pi), values)
-        return out / np.abs(out)
-    idx = _nearest_index(np.angle(np.where(zero, 1.0, values)), codebook)
-    idx = np.where(zero, 0, idx)
-    return np.exp(1j * codebook.phases)[idx]
+        w = np.where(values == 0, np.exp(-1j * np.pi), values)
+        w = w / np.abs(w)
+        return w, w
+    idx = _nearest_index(np.angle(values), codebook)
+    idx[values == 0] = 0
+    return codebook.unit[idx], idx
+
+
+def _expand(state, codebook):
+    """``(w, beta)`` of a carried iterate (see ``_project``)."""
+    if codebook.is_continuous:
+        return state, np.angle(state)
+    return codebook.unit[state], codebook.phases[state]
 
 
 def _nearest_index(angles, codebook):
     """Index of the wrapped-nearest codebook phase, smaller phase on ties.
 
     Equivalent to an exhaustive argmin of |wrapped_diff(phase, angle)| over
-    the codebook (first minimum wins), but only evaluates the two slots
-    bracketing each angle, which is what the argmin can return: every other
-    slot is at least half a spacing further away.
+    the codebook (first minimum wins).  One rounding pass does the work:
+    the nearest slot is ``x = (angle + pi) / spacing`` rounded to the
+    nearest integer, with slot ``levels`` (angle near +pi) wrapping to 0.
+    Entries whose ``x`` lies within the tie band of a half-integer (1e-9,
+    widened for very fine codebooks to cover the rounding error of ``x``),
+    and NaN entries, are decided again by comparing the wrapped distances
+    to the two bracketing slots (``_bracket_index``), which fixes exact
+    midpoints and the seam.  ``angles`` must be an array of dimension >= 1.
+    """
+    levels = codebook.phases.shape[0]
+    band = max(1e-9, 64 * levels * np.finfo(float).eps)
+    x = angles + np.pi
+    x *= 2 ** (codebook.bits - 1) / np.pi
+    nearest = np.rint(x)
+    idx = nearest.astype(np.intp)
+    idx &= levels - 1  # levels is a power of two: wraps slot levels to 0
+    x -= nearest
+    np.abs(x, out=x)
+    near_tie = ~(x <= 0.5 - band)
+    if np.any(near_tie):
+        idx[near_tie] = _bracket_index(angles[near_tie], codebook)
+    return idx
+
+
+def _bracket_index(angles, codebook):
+    """Nearer of the two slots bracketing each angle, by wrapped distance.
+
+    Every other slot is at least half a spacing further away, so this is
+    the exhaustive argmin.
     """
     table = codebook.phases
     levels = table.shape[0]
@@ -187,10 +241,15 @@ def initial_phase_vector(eff, symbols, codebook):
     symbols = np.asarray(symbols, dtype=complex)
     if not np.any(symbols):
         raise DegenerateSymbolError("symbol vector is identically zero")
+    return _seed(eff, symbols, codebook)[0]
+
+
+def _seed(eff, symbols, codebook):
+    """``(w, state)`` of the seed iterate (see ``initial_phase_vector``)."""
     raw = eff.pseudo_inverse @ symbols
     mags = np.abs(raw)
-    unit = np.where(mags > 0, raw / np.where(mags > 0, mags, 1.0), 1.0 + 0.0j)
-    return quantize_phases(unit, codebook)
+    unit = np.divide(raw, mags, out=np.ones_like(raw), where=mags > 0)
+    return _project(unit, codebook)
 
 
 def optimal_gain(eff, w, symbols):
@@ -286,10 +345,13 @@ def solve_block(eff, symbols, codebook, options=None):
     Columns share the effective matrix but are otherwise independent
     problems; batching them turns the per-iteration work into a handful of
     matrix products.  Columns leave the active set as soon as they stop, so
-    results are identical to solving each column on its own.
+    results are identical to solving each column on its own.  The iterate
+    is carried as codebook indices for a quantized codebook (see
+    ``_project``), so ``beta`` is read off the phase table.
     """
     options = options or SolverOptions()
-    s_block = np.asarray(symbols, dtype=complex)
+    # C order, like the column subsets taken later in the loop
+    s_block = np.ascontiguousarray(symbols, dtype=complex)
     if s_block.ndim == 1:
         s_block = s_block[:, None]
     if s_block.shape[0] != eff.matrix.shape[0]:
@@ -302,68 +364,75 @@ def solve_block(eff, symbols, codebook, options=None):
     num_elements, num_cols = eff.matrix.shape[1], s_block.shape[1]
     threshold = options.resolved_threshold(num_elements)
     rho2 = eff.spectral_norm_sq
+    matrix_h = eff.matrix.conj().T
 
-    raw = eff.pseudo_inverse @ s_block
-    mags = np.abs(raw)
-    unit = np.where(mags > 0, raw / np.where(mags > 0, mags, 1.0), 1.0 + 0.0j)
-    w = quantize_phases(unit, codebook)
+    w_act, state = _seed(eff, s_block, codebook)
+    state_act, s_act = state, s_block
 
     last_gain = np.zeros(num_cols)
     iterations = np.zeros(num_cols, dtype=int)
     converged = np.zeros(num_cols, dtype=bool)
     negative_events = np.zeros(num_cols, dtype=int)
     best_obj = np.full(num_cols, np.inf)
-    best_w = w.copy()
+    best_state = state.copy()
     best_gain = np.zeros(num_cols)
 
+    # w_act, state_act and s_act hold the active columns only; while every
+    # column is active they are the full arrays, not copies.
     active = np.arange(num_cols)
     t = 0
     while active.size and t < options.max_iterations:
         t += 1
-        w_act = w[:, active]
-        s_act = s_block[:, active]
         gains, residual, objective = _gain_and_objective(eff, w_act, s_act)
 
         improved = objective < best_obj[active]
         hit = active[improved]
         best_obj[hit] = objective[improved]
-        best_w[:, hit] = w_act[:, improved]
+        best_state[:, hit] = state_act[:, improved]
         best_gain[hit] = gains[improved]
 
         steps, bad = _guarded_step(options.step_scale, gains, rho2)
         negative_events[active[bad]] += 1
 
-        grad_dir = eff.matrix.conj().T @ residual
-        w_next = quantize_phases(w_act + grad_dir * steps[None, :], codebook)
-        delta = w_next - w_act
-        change = _column_norms_sq(delta)
+        w_next, state_next = _project(
+            w_act + (matrix_h @ residual) * steps[None, :], codebook
+        )
+        change = _column_norms_sq(w_next - w_act)
 
-        w[:, active] = w_next
+        if active.size == num_cols:
+            state = state_next
+        else:
+            state[:, active] = state_next
         last_gain[active] = gains
         iterations[active] = t
 
         done = change < threshold
         converged[active[done]] = True
-        active = active[~done & (t < options.max_iterations)]
+        keep = ~done & (t < options.max_iterations)
+        w_act, state_act = w_next, state_next
+        if not np.all(keep):
+            active = active[keep]
+            w_act, state_act, s_act = w_act[:, keep], state_act[:, keep], s_act[:, keep]
 
     # Evaluate the final iterate too: it is the last point visited and, for
     # threshold stops under coarse quantization, coincides with the last
     # evaluated pair anyway.
+    w, _ = _expand(state, codebook)
     gains_fin, _, obj_fin = _gain_and_objective(eff, w, s_block)
     improved = obj_fin < best_obj
     best_obj[improved] = obj_fin[improved]
-    best_w[:, improved] = w[:, improved]
+    best_state[:, improved] = state[:, improved]
     best_gain[improved] = gains_fin[improved]
     trace_lengths = iterations + 1
 
     if options.track_best:
-        out_w, out_gain, out_obj = best_w, best_gain, best_obj
+        out_state, out_gain, out_obj = best_state, best_gain, best_obj
     else:
         projected = eff.matrix @ w
         residual = s_block - projected * last_gain[None, :]
-        out_w, out_gain, out_obj = w, last_gain, _column_norms_sq(residual)
+        out_state, out_gain, out_obj = state, last_gain, _column_norms_sq(residual)
 
-    beta = _codebook_phases(out_w, codebook)
+    out_w, beta = _expand(out_state, codebook)
     return BlockSolution(
         w=out_w,
         beta=beta,
@@ -374,13 +443,6 @@ def solve_block(eff, symbols, codebook, options=None):
         negative_gain_events=negative_events,
         trace_lengths=trace_lengths,
     )
-
-
-def _codebook_phases(w, codebook):
-    """Phases of unit-modulus entries, snapped to exact codebook members."""
-    if codebook.is_continuous:
-        return np.angle(w)
-    return codebook.phases[_nearest_index(np.angle(w), codebook)]
 
 
 def solve(eff, symbols, codebook, options=None):

@@ -13,6 +13,7 @@ from ristx.solver import (
     PhaseCodebook,
     SolverOptions,
     _guarded_step,
+    _nearest_index,
     initial_phase_vector,
     optimal_gain,
     quantize_phases,
@@ -148,16 +149,18 @@ class TestQuantize:
         col = quantize_phases(u[:, 0], PhaseCodebook.quantized(2))
         assert np.array_equal(w[:, 0], col)
 
-    @pytest.mark.parametrize("bits", [1, 2, 3, 4, 6])
+    @pytest.mark.parametrize("bits", [1, 2, 3, 4, 5, 6])
     def test_matches_exhaustive_argmin(self, bits):
         # oracle: full first-minimum argmin of the wrapped distances over
         # the whole codebook (the contract's literal form)
         cb = PhaseCodebook.quantized(bits)
 
-        def exhaustive(u):
-            ang = np.angle(u)
+        def exhaustive_index(ang):
             dist = np.abs(wrapped_diff(cb.phases.reshape((-1,) + (1,) * ang.ndim), ang))
-            return np.exp(1j * cb.phases)[np.argmin(dist, axis=0)]
+            return np.argmin(dist, axis=0)
+
+        def exhaustive(u):
+            return np.exp(1j * cb.phases)[exhaustive_index(np.angle(u))]
 
         rng = np.random.default_rng(100 + bits)
         u = crandn(rng, 20_000)
@@ -170,6 +173,24 @@ class TestQuantize:
         ])
         u = np.exp(1j * grid)
         assert np.array_equal(quantize_phases(u, cb), exhaustive(u))
+        # scaled (non-unit) moduli, and zeros, which take the first phase
+        zeros = np.array([0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)])
+        u = np.concatenate([scale * np.exp(1j * grid) for scale in (1e-300, 0.37, 5.0, 1e300)]
+                           + [zeros])
+        expected = np.where(u == 0, np.exp(1j * cb.phases[0]), exhaustive(u))
+        assert np.array_equal(quantize_phases(u, cb), expected)
+        # one and two ULPs either side of every midpoint and of +-pi, on the
+        # angle itself (an exp/angle round trip would blur a single ULP)
+        edges = np.concatenate([cb.phases + spacing / 2, cb.phases - spacing / 2,
+                                [np.pi, -np.pi]])
+        near = [edges]
+        for direction in (np.inf, -np.inf):
+            ang = edges
+            for _ in range(2):
+                ang = np.nextafter(ang, direction)
+                near.append(ang)
+        ang = np.clip(np.concatenate(near), -np.pi, np.pi)  # np.angle's range
+        assert np.array_equal(_nearest_index(ang, cb), exhaustive_index(ang))
 
 
 class TestInit:
@@ -477,6 +498,18 @@ class TestBlockSolver:
         one = batched.interval(1)
         assert np.array_equal(one.w, batched.w[:, 1])
         assert one.trace_length == batched.iterations[1] + 1
+
+    @pytest.mark.parametrize("track_best", [True, False])
+    @pytest.mark.parametrize("bits", [1, 2, 4])
+    def test_quantized_beta_is_codebook_phase_of_w(self, bits, track_best):
+        # beta is read from the phase table, w from the unit table: both
+        # must name the same codebook entry, bitwise
+        rng = np.random.default_rng(31 + bits)
+        cb = PhaseCodebook.quantized(bits)
+        eff = EffectiveMatrix.from_matrix(crandn(rng, 3, 24))
+        sol = solve_block(eff, crandn(rng, 3, 40), cb, SolverOptions(track_best=track_best))
+        assert np.all(np.isin(sol.beta, cb.phases))
+        assert np.array_equal(np.exp(1j * sol.beta), sol.w)
 
     def test_row_count_validation(self):
         eff = EffectiveMatrix.from_matrix(np.eye(2, dtype=complex))
