@@ -101,11 +101,15 @@ def _project(values, codebook):
     return codebook.unit[idx], idx
 
 
+def _unit(state, codebook):
+    """Unit-modulus iterate ``w`` of a carried state (see ``_project``)."""
+    return state if codebook.is_continuous else codebook.unit[state]
+
+
 def _expand(state, codebook):
     """``(w, beta)`` of a carried iterate (see ``_project``)."""
-    if codebook.is_continuous:
-        return state, np.angle(state)
-    return codebook.unit[state], codebook.phases[state]
+    beta = np.angle(state) if codebook.is_continuous else codebook.phases[state]
+    return _unit(state, codebook), beta
 
 
 def _nearest_index(angles, codebook):
@@ -416,19 +420,21 @@ def solve_block(eff, symbols, codebook, options=None):
 
     # Evaluate the final iterate too: it is the last point visited and, for
     # threshold stops under coarse quantization, coincides with the last
-    # evaluated pair anyway.
-    w, _ = _expand(state, codebook)
-    gains_fin, _, obj_fin = _gain_and_objective(eff, w, s_block)
-    improved = obj_fin < best_obj
-    best_obj[improved] = obj_fin[improved]
-    best_state[:, improved] = state[:, improved]
-    best_gain[improved] = gains_fin[improved]
+    # evaluated pair anyway.  After a single pass that moved no column the
+    # final iterate is the seed (best_state holds it then), and this would
+    # repeat pass 1 bit for bit and improve nothing.
+    if t != 1 or not np.array_equal(state, best_state):
+        gains_fin, _, obj_fin = _gain_and_objective(eff, _unit(state, codebook), s_block)
+        improved = obj_fin < best_obj
+        best_obj[improved] = obj_fin[improved]
+        best_state[:, improved] = state[:, improved]
+        best_gain[improved] = gains_fin[improved]
     trace_lengths = iterations + 1
 
     if options.track_best:
         out_state, out_gain, out_obj = best_state, best_gain, best_obj
     else:
-        projected = eff.matrix @ w
+        projected = eff.matrix @ _unit(state, codebook)
         residual = s_block - projected * last_gain[None, :]
         out_state, out_gain, out_obj = state, last_gain, _column_norms_sq(residual)
 

@@ -43,6 +43,12 @@ class TestValidateConfig:
         assert main(["validate-config", path]) == 2
         assert "bogus" in capsys.readouterr().err
 
+    def test_oversized_bit_depth_named(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"b_list": [28]})
+        assert main(["validate-config", path]) == 2
+        err = capsys.readouterr().err
+        assert "b_list" in err and "Traceback" not in err
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate-config", str(tmp_path / "nope.json")]) == 2
         assert "cannot read" in capsys.readouterr().err
@@ -87,6 +93,11 @@ class TestTrial:
     def test_bad_bit_depth(self, capsys):
         assert main(["trial", "-K", "2", "-M", "4", "-B", "0", "--seed", "1"]) == 2
         assert "b_list" in capsys.readouterr().err
+
+    def test_oversized_bit_depth_rejected(self, capsys):
+        assert main(["trial", "-K", "2", "-M", "4", "-B", "28", "--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "b_list" in err and "Traceback" not in err
 
     def test_bad_geometry_is_usage_error(self, capsys):
         assert main(["trial", "-K", "2", "-M", "5", "-B", "2", "--seed", "1"]) == 2

@@ -1,9 +1,15 @@
 import dataclasses
 import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ristx
 from ristx.errors import ConfigError
 from ristx.harness import (
     SUMMARY_CSV,
@@ -50,6 +56,7 @@ class TestConfig:
             ("m_list", ()),
             ("m_list", (5,)),
             ("b_list", (0,)),
+            ("b_list", (17,)),
             ("r_max", 50.0),
             ("trials", 0),
             ("step_scale", 1.5),
@@ -259,3 +266,42 @@ class TestSweep:
             if line.startswith("single_rf")
         ]
         assert rows_both == rows_solo
+
+
+# Minor page faults per warmed-up M=225 trial, with ("1") or without the
+# sweep's heap setting; run in a fresh interpreter because the setting is
+# process-wide and cannot be undone.
+FAULTS_SCRIPT = """
+import resource, sys
+from ristx.harness import _keep_freed_heap, build_surface, preset_config, trial_rows
+if sys.argv[1] == "1":
+    _keep_freed_heap()
+cfg = preset_config("fig2", trials=1)
+surface = build_surface(cfg, 225)
+for idx in range(5):
+    trial_rows(cfg, 16, 225, 4, idx, surface)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for idx in range(5, 15):
+    trial_rows(cfg, 16, 225, 4, idx, surface)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
+"""
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+    reason="the heap setting acts through glibc's mallopt",
+)
+def test_heap_setting_removes_per_trial_page_faults():
+    src = str(Path(ristx.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, (src, env.get("PYTHONPATH")))))
+
+    def faults_per_trial(keep_heap):
+        out = subprocess.run([sys.executable, "-c", FAULTS_SCRIPT, keep_heap], env=env,
+                             capture_output=True, text=True, check=True, timeout=120)
+        return float(out.stdout)
+
+    without, with_setting = faults_per_trial("0"), faults_per_trial("1")
+    assert with_setting <= 0.1 * without, (with_setting, without)

@@ -12,6 +12,7 @@ from ristx.solver import (
     EffectiveMatrix,
     PhaseCodebook,
     SolverOptions,
+    _gain_and_objective,
     _guarded_step,
     _nearest_index,
     initial_phase_vector,
@@ -510,6 +511,21 @@ class TestBlockSolver:
         sol = solve_block(eff, crandn(rng, 3, 40), cb, SolverOptions(track_best=track_best))
         assert np.all(np.isin(sol.beta, cb.phases))
         assert np.array_equal(np.exp(1j * sol.beta), sol.w)
+
+    @pytest.mark.parametrize("track_best", [True, False])
+    def test_no_move_block_reports_its_own_gain_and_objective(self, track_best):
+        # a 1-bit block that stops at pass 1 on its seed skips the final
+        # evaluation; what it reports must still be that evaluation, bitwise
+        rng = np.random.default_rng(41)
+        cb = PhaseCodebook.quantized(1)
+        eff = EffectiveMatrix.from_matrix(crandn(rng, 2, 64))
+        block = crandn(rng, 2, 12)
+        sol = solve_block(eff, block, cb, SolverOptions(track_best=track_best))
+        assert np.all(sol.iterations == 1)
+        assert np.array_equal(sol.w, initial_phase_vector(eff, block, cb))
+        gains, _, objectives = _gain_and_objective(eff, sol.w, block)
+        assert np.array_equal(sol.gains, gains)
+        assert np.array_equal(sol.final_objectives, objectives)
 
     def test_row_count_validation(self):
         eff = EffectiveMatrix.from_matrix(np.eye(2, dtype=complex))
