@@ -56,13 +56,13 @@ class TestConfig:
             ("m_list", ()),
             ("m_list", (5,)),
             ("b_list", (0,)),
-            ("b_list", (17,)),
             ("r_max", 50.0),
             ("trials", 0),
             ("step_scale", 1.5),
             ("schemes", ("mf_digital",)),
             ("num_intervals", 0),
             ("master_seed", -1),
+            ("b_list", (17,)),
         ],
     )
     def test_invalid_fields_name_the_field(self, field, value):
