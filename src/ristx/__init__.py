@@ -4,8 +4,6 @@ __version__ = "0.1.0"
 
 from .channel import (  # noqa: F401
     Cell,
-    ChannelRealization,
-    PostGains,
     UserLargeScale,
     assemble_channel,
     compensating_gains,
@@ -23,8 +21,6 @@ from .geometry import (  # noqa: F401
     wrap_phase,
 )
 from .metrics import (  # noqa: F401
-    SymbolBlock,
-    TransmitBlock,
     TrialResult,
     average_power,
     db10,
@@ -34,7 +30,7 @@ from .metrics import (  # noqa: F401
     transmit_block,
     trial_result,
 )
-from .baseline import mf_post_gains, mf_precode, mf_precode_block  # noqa: F401
+from .baseline import mf_post_gains, mf_precode_block  # noqa: F401
 from .solver import (  # noqa: F401
     BlockSolution,
     EffectiveMatrix,
@@ -42,12 +38,10 @@ from .solver import (  # noqa: F401
     SolverOptions,
     TuningSolution,
     initial_phase_vector,
-    optimal_gain,
     quantize_phases,
     solve,
     solve_block,
     spectral_norm_sq,
-    step_size,
 )
 from .harness import (  # noqa: F401
     SimConfig,

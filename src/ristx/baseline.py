@@ -11,31 +11,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import PostGains, large_scale_gains
+from .channel import large_scale_gains
 from .errors import DegenerateDirectionError
 
 
-def mf_precode(channel_matrix, symbols, target_power):
-    """Matched-filter transmit vector with exact power ||x||^2 = target_power.
-
-    x = c * H^H @ s with c >= 0.  A zero direction only passes when the
-    target power is zero (the zero vector is returned).
-    """
-    if target_power < 0.0:
-        raise ValueError("target_power must be nonnegative")
-    direction = channel_matrix.conj().T @ np.asarray(symbols, dtype=complex)
-    norm_sq = float(np.real(np.vdot(direction, direction)))
-    if norm_sq == 0.0:
-        if target_power == 0.0:
-            return np.zeros_like(direction)
-        raise DegenerateDirectionError("H^H s vanishes; cannot meet target power")
-    return np.sqrt(target_power / norm_sq) * direction
-
-
 def mf_precode_block(channel_matrix, symbol_block, target_powers):
-    """Column-wise mf_precode plus the per-interval scalings c(n).
+    """Matched-filter transmit block with exact powers ||x(n)||^2 = target_powers[n].
 
-    Returns (x_block, c) where x_block[:, n] = c[n] * H^H @ s(n).
+    Returns (x_block, c) where x_block[:, n] = c[n] * H^H @ s(n), c[n] >= 0.
+    A zero direction only passes when its target power is zero (the column
+    is then zero).
     """
     target_powers = np.asarray(target_powers, dtype=float)
     if np.any(target_powers < 0.0):
@@ -53,5 +38,4 @@ def mf_post_gains(large_scale, num_elements, mean_scale):
     """Receive gains 1 / (mean_scale * M * pathgain_k) for the benchmark."""
     if not mean_scale > 0.0:
         raise ValueError("mean_scale must be positive")
-    gains = 1.0 / (mean_scale * num_elements * large_scale_gains(large_scale))
-    return PostGains(gains)
+    return 1.0 / (mean_scale * num_elements * large_scale_gains(large_scale))

@@ -36,18 +36,14 @@ class Cell:
 class UserLargeScale:
     """Large-scale state of one user."""
 
-    distance: float             # meters
-    normalized_distance: float  # distance / reference distance, >= 1
-    shadowing: float            # linear-scale log-normal draw, > 0
-    path_loss_exponent: float
-    reference_distance: float
+    distance: float   # meters
+    shadowing: float  # linear-scale log-normal draw, > 0
+    path_gain: float  # shadowing / (distance / r_min)**exponent
 
 
 def large_scale_gains(users):
     """Linear power gains shadowing / r_norm**exponent, one per user."""
-    return np.array(
-        [u.shadowing / u.normalized_distance**u.path_loss_exponent for u in users]
-    )
+    return np.array([u.path_gain for u in users])
 
 
 def draw_users(num_users, cell, rng):
@@ -65,13 +61,11 @@ def draw_users(num_users, cell, rng):
     shadowing = 10.0 ** (shadow_db / 10.0)
     return [
         UserLargeScale(
-            distance=float(distance[k]),
-            normalized_distance=float(distance[k] / cell.r_min),
-            shadowing=float(shadowing[k]),
-            path_loss_exponent=cell.path_loss_exponent,
-            reference_distance=cell.r_min,
+            distance=float(d),
+            shadowing=float(s),
+            path_gain=float(s) / float(d / cell.r_min) ** cell.path_loss_exponent,
         )
-        for k in range(num_users)
+        for d, s in zip(distance, shadowing)
     ]
 
 
@@ -85,40 +79,20 @@ def draw_fading(num_users, num_elements, rng):
     return (re + 1j * im) / np.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    """Downlink channel together with the factors that generated it."""
-
-    matrix: np.ndarray        # (K, M) complex channel, large-scale included
-    large_scale: tuple        # K UserLargeScale entries
-    fading: np.ndarray        # (K, M) small-scale factors
-
-
 def assemble_channel(large_scale, fading):
-    """Scale fading rows by sqrt(shadowing / r_norm**exponent)."""
+    """(K, M) channel: fading rows scaled by sqrt(shadowing / r_norm**exponent)."""
     fading = np.asarray(fading)
     if fading.ndim != 2 or fading.shape[0] != len(large_scale):
         raise ValueError(
             f"fading shape {fading.shape} does not match {len(large_scale)} users"
         )
-    amp = np.sqrt(large_scale_gains(large_scale))
-    return ChannelRealization(amp[:, None] * fading, tuple(large_scale), fading)
-
-
-@dataclass(frozen=True)
-class PostGains:
-    """Diagonal receive post-processing gains, one scalar per user."""
-
-    gains: np.ndarray
-
-    def frobenius_sq(self):
-        return float(np.sum(np.abs(self.gains) ** 2))
+    return np.sqrt(large_scale_gains(large_scale))[:, None] * fading
 
 
 def compensating_gains(large_scale):
-    """Receive gains that cancel path loss and shadowing exactly.
+    """Receive gains, shape (K,), that cancel path loss and shadowing exactly.
 
     Applying these to the assembled channel recovers the pure fading matrix,
     so the single-RF distortion becomes invariant to the large-scale draw.
     """
-    return PostGains(1.0 / np.sqrt(large_scale_gains(large_scale)))
+    return 1.0 / np.sqrt(large_scale_gains(large_scale))

@@ -13,10 +13,6 @@ class DegenerateDirectionError(ValueError):
     """A direction used for scaling has (numerically) zero norm."""
 
 
-class StalledGainError(ValueError):
-    """Step-size update requested with a zero amplification gain."""
-
-
 class DegenerateBlockError(ValueError):
     """A whole transmit block carries zero power."""
 

@@ -15,8 +15,6 @@ import numpy as np
 
 from .errors import UnilluminatedElementError
 
-IDEAL_SECTOR = "ideal-sector"
-
 
 def wrap_phase(x):
     """Wrap angles to [-pi, pi)."""
@@ -25,25 +23,22 @@ def wrap_phase(x):
 
 @dataclass(frozen=True)
 class FeedPattern:
-    """Radiation pattern of the RF feed.
+    """Ideal-sector radiation pattern of the RF feed.
+
+    Constant gain inside an elevation band around broadside, horizontally
+    omnidirectional, zero outside.
 
     Attributes:
-        pattern_kind: only ``"ideal-sector"`` is implemented -- constant gain
-            inside an elevation band around broadside, horizontally
-            omnidirectional, zero outside.
         vertical_beamwidth: full elevation beamwidth in radians, in (0, pi].
         peak_gain: in-band gain.  The default normalizes total radiated
             power, i.e. the pattern integrates to 4*pi over the sphere:
             peak = 4*pi / (band solid angle) = 1 / sin(beamwidth / 2).
     """
 
-    pattern_kind: str
     vertical_beamwidth: float
     peak_gain: float
 
     def __post_init__(self):
-        if self.pattern_kind != IDEAL_SECTOR:
-            raise ValueError(f"unknown pattern kind: {self.pattern_kind!r}")
         if not 0.0 < self.vertical_beamwidth <= np.pi:
             raise ValueError("vertical_beamwidth must be in (0, pi]")
         if not self.peak_gain > 0.0:
@@ -56,7 +51,7 @@ class FeedPattern:
             if not 0.0 < vertical_beamwidth <= np.pi:
                 raise ValueError("vertical_beamwidth must be in (0, pi]")
             peak_gain = 1.0 / math.sin(vertical_beamwidth / 2.0)
-        return cls(IDEAL_SECTOR, float(vertical_beamwidth), float(peak_gain))
+        return cls(float(vertical_beamwidth), float(peak_gain))
 
 
 def pattern_gain(pattern, theta, phi):

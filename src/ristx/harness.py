@@ -32,8 +32,6 @@ from .channel import (
 from .errors import ConfigError
 from .geometry import FeedPattern, layout_elements, propagation_coeffs
 from .metrics import (
-    SymbolBlock,
-    TransmitBlock,
     average_power,
     distortion,
     papr,
@@ -112,7 +110,7 @@ class SimConfig:
         if not self.b_list:
             raise ConfigError("b_list", "must not be empty")
         for b in self.b_list:
-            if b is not None and (int(b) != b or not 1 <= b <= MAX_CODEBOOK_BITS):
+            if b is not None and not (_is_whole(b) and 1 <= b <= MAX_CODEBOOK_BITS):
                 raise ConfigError("b_list", f"{b!r} is not a bit depth in "
                                   f"1..{MAX_CODEBOOK_BITS} or 'continuous'")
         if not self.k_list:
@@ -169,11 +167,13 @@ class SimConfig:
         if unknown:
             raise ConfigError(unknown[0], "unknown config field")
         kwargs = dict(data)
-        if "b_list" in kwargs:
-            kwargs["b_list"] = tuple(parse_codebook_spec(b) for b in kwargs["b_list"])
-        for name in ("m_list", "k_list", "schemes"):
+        for name in ("m_list", "b_list", "k_list", "schemes"):
             if name in kwargs:
+                if not isinstance(kwargs[name], list):
+                    raise ConfigError(name, "must be a JSON array")
                 kwargs[name] = tuple(kwargs[name])
+        if "b_list" in kwargs:
+            kwargs["b_list"] = tuple(map(parse_codebook_spec, kwargs["b_list"]))
         try:
             cfg = cls(**kwargs)
         except TypeError as e:
@@ -197,26 +197,33 @@ class SimConfig:
         return self.wavelength * math.sqrt(num_elements / math.pi)
 
 
+def _is_whole(value):
+    """An int or a whole-valued float; bools and everything else are not."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, (int, np.integer)) or (
+        isinstance(value, float) and value.is_integer()
+    )
+
+
 def parse_codebook_spec(value):
-    """Codebook spec from config/CLI: bit count, or 'continuous'/'inf'."""
+    """Translate a codebook spelling from config/CLI.
+
+    ``None``, 'continuous' and 'inf' mean the continuous codebook (None) and
+    a digit string (``ristx trial -B 4``) a bit depth; any other non-string
+    value passes through unchanged, for ``SimConfig.validate`` to check.
+    """
     if value is None or value in ("continuous", "inf"):
         return None
-    try:
-        bits = int(value)
-    except (TypeError, ValueError):
-        raise ConfigError("b_list", f"cannot parse codebook spec {value!r}") from None
-    if not 1 <= bits <= MAX_CODEBOOK_BITS:
-        raise ConfigError("b_list", f"bit depth must be in 1..{MAX_CODEBOOK_BITS}, "
-                          f"got {bits}")
-    return bits
+    if not isinstance(value, str):
+        return value
+    if not (value.isascii() and value.isdigit()):
+        raise ConfigError("b_list", f"cannot parse codebook spec {value!r}")
+    return int(value)
 
 
 def b_label(b):
     return "inf" if b is None else str(int(b))
-
-
-def codebook_for(b):
-    return PhaseCodebook.continuous() if b is None else PhaseCodebook.quantized(b)
 
 
 def build_surface(cfg, num_elements):
@@ -282,18 +289,16 @@ def _run_trial(cfg, num_users, num_elements, b, trial_index, surface, with_recor
     )
     users = draw_users(num_users, cfg.cell(), users_rng)
     fading = draw_fading(num_users, num_elements, fading_rng)
-    chan = assemble_channel(users, fading)
+    channel = assemble_channel(users, fading)
     gains = compensating_gains(users)
     # Information symbols share the i.i.d. unit-variance complex normal recipe.
     symbols = draw_fading(num_users, cfg.num_intervals, symbols_rng)
 
-    eff = EffectiveMatrix.build(cfg.feed_power, gains, chan.matrix, surface)
-    codebook = codebook_for(b)
-    sol = solve_block(eff, symbols, codebook, cfg.solver_options())
+    eff = EffectiveMatrix.build(cfg.feed_power, gains, channel, surface)
+    sol = solve_block(eff, symbols, PhaseCodebook(b), cfg.solver_options())
 
     x_rf = transmit_block(surface, cfg.feed_power, sol.w, sol.gains)
-    block = SymbolBlock(symbols)
-    d_rf = distortion(block, gains, chan.matrix, x_rf)
+    d_rf = distortion(symbols, gains, channel, x_rf)
     p_out = average_power(sol.gains, cfg.feed_power)
     papr_rf = papr(sol.gains, cfg.feed_power)
     results = [
@@ -306,10 +311,10 @@ def _run_trial(cfg, num_users, num_elements, b, trial_index, surface, with_recor
     ]
 
     if SCHEME_MF in cfg.schemes:
-        radiated = np.einsum("ij,ij->j", x_rf.x.conj(), x_rf.x).real
-        x_mf, scales = mf_precode_block(chan.matrix, symbols, radiated)
+        radiated = np.einsum("ij,ij->j", x_rf.conj(), x_rf).real
+        x_mf, scales = mf_precode_block(channel, symbols, radiated)
         gains_mf = mf_post_gains(users, num_elements, float(np.mean(scales)))
-        d_mf = distortion(block, gains_mf, chan.matrix, TransmitBlock(x_mf, scales))
+        d_mf = distortion(symbols, gains_mf, channel, x_mf)
         results.append(
             trial_result(
                 SCHEME_MF, d_mf,
@@ -321,7 +326,7 @@ def _run_trial(cfg, num_users, num_elements, b, trial_index, surface, with_recor
     record = None
     if with_record:
         mse = [
-            received_mse(symbols[:, n], gains, chan.matrix, x_rf.x[:, n], cfg.noise_var)
+            received_mse(symbols[:, n], gains, channel, x_rf[:, n], cfg.noise_var)
             for n in range(cfg.num_intervals)
         ]
         record = {
@@ -345,7 +350,6 @@ def _run_trial(cfg, num_users, num_elements, b, trial_index, surface, with_recor
             "solver": {
                 "iterations": sol.iterations.tolist(),
                 "converged": sol.converged.tolist(),
-                "trace_lengths": sol.trace_lengths.tolist(),
                 "negative_gain_events": sol.negative_gain_events.tolist(),
             },
             "received_mse_mean": float(np.mean(mse)),
@@ -397,10 +401,8 @@ def format_row(row, columns):
     return ",".join(_format_value(row[c]) for c in columns) + "\n"
 
 
-def _point_rows(cfg_dict, num_elements, b_json, num_users, trial_indices):
+def _point_rows(cfg, num_elements, b, num_users, trial_indices):
     """Worker entry: all rows of one sweep point (picklable arguments only)."""
-    cfg = SimConfig.from_dict(cfg_dict)
-    b = parse_codebook_spec(b_json)
     surface = build_surface(cfg, num_elements)
     rows = []
     failures = []
@@ -522,7 +524,7 @@ def run_sweep(cfg, output_dir, workers=1, resume=False, preset=None):
             fh.write(",".join(TRIAL_COLUMNS) + "\n")
         if workers <= 1:
             for pt_idx, m, b, k, pending in tasks:
-                rows, failures = _point_rows(cfg.to_dict(), m, b_label(b), k, pending)
+                rows, failures = _point_rows(cfg, m, b, k, pending)
                 collected[pt_idx] = rows
                 failures_by_point[pt_idx] = failures
                 _flush_ready(fh)
@@ -531,9 +533,7 @@ def run_sweep(cfg, output_dir, workers=1, resume=False, preset=None):
 
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = {
-                    pool.submit(
-                        _point_rows, cfg.to_dict(), m, b_label(b), k, pending
-                    ): pt_idx
+                    pool.submit(_point_rows, cfg, m, b, k, pending): pt_idx
                     for pt_idx, m, b, k, pending in tasks
                 }
                 for future in as_completed(futures):

@@ -24,42 +24,18 @@ def db10(value, floor=DB_FLOOR):
     return float(10.0 * np.log10(value)), False
 
 
-@dataclass(frozen=True)
-class SymbolBlock:
-    """Information symbols for one channel realization, one column per interval."""
-
-    symbols: np.ndarray  # (K, N) complex
-
-    def __post_init__(self):
-        if self.symbols.ndim != 2 or self.symbols.shape[1] < 1:
-            raise ValueError("symbols must be a K x N matrix with N >= 1")
-
-    @property
-    def num_intervals(self):
-        return self.symbols.shape[1]
-
-
-@dataclass(frozen=True)
-class TransmitBlock:
-    """Transmit signals x(n) together with the feed gains that formed them."""
-
-    x: np.ndarray      # (M, N) complex
-    gains: np.ndarray  # (N,) real feed gains
-
-
 def transmit_block(surface, feed_power, w_block, gains):
-    """Build x(n) = gain(n) * sqrt(P) * diag(surface) @ w(n) for a block."""
+    """(M, N) block x(n) = gain(n) * sqrt(P) * diag(surface) @ w(n)."""
     gains = np.asarray(gains, dtype=float)
     coeffs = surface.complex_coeffs()
-    x = np.sqrt(feed_power) * coeffs[:, None] * np.asarray(w_block) * gains[None, :]
-    return TransmitBlock(x, gains)
+    return np.sqrt(feed_power) * coeffs[:, None] * np.asarray(w_block) * gains[None, :]
 
 
 def received_mse(symbols, post_gains, channel_matrix, x, noise_var):
     """Received mean squared error ||s - G H x||^2 + ||G||_F^2 * noise_var."""
     symbols = np.asarray(symbols)
     x = np.asarray(x)
-    gains = np.asarray(post_gains.gains)
+    gains = np.asarray(post_gains)
     if noise_var < 0.0:
         raise ValueError("noise_var must be nonnegative")
     if channel_matrix.shape != (symbols.shape[0], x.shape[0]):
@@ -71,16 +47,19 @@ def received_mse(symbols, post_gains, channel_matrix, x, noise_var):
     return float(np.sum(np.abs(residual) ** 2) + np.sum(np.abs(gains) ** 2) * noise_var)
 
 
-def distortion(symbol_block, post_gains, channel_matrix, x_block):
+def distortion(symbols, post_gains, channel_matrix, x_block):
     """Noise-free per-user distortion, averaged over the block.
 
-    (1/K)(1/N) * sum_n ||s(n) - G H x(n)||^2, returned in linear scale.
+    (1/K)(1/N) * sum_n ||s(n) - G H x(n)||^2 for (K, N) symbols, (K,) gains
+    and an (M, N) transmit block, returned in linear scale.
     """
-    s = symbol_block.symbols
-    x = x_block.x
+    s = np.asarray(symbols)
+    if s.ndim != 2 or s.shape[1] < 1:
+        raise ValueError("symbols must be a K x N matrix with N >= 1")
+    x = np.asarray(x_block)
     if x.shape[1] != s.shape[1]:
         raise ValueError("symbol and transmit blocks differ in length")
-    gains = np.asarray(post_gains.gains)
+    gains = np.asarray(post_gains)
     if channel_matrix.shape != (s.shape[0], x.shape[0]):
         raise ValueError("channel dimensions do not match the blocks")
     residual = s - (gains[:, None] * channel_matrix) @ x

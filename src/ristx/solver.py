@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateDirectionError, DegenerateSymbolError, StalledGainError
+from .errors import DegenerateDirectionError, DegenerateSymbolError
+from .geometry import wrap_phase
 
 GAIN_FLOOR = 1e-12  # step-size guard when the gain update stalls at <= 0
 
@@ -39,21 +40,17 @@ class PhaseCodebook:
     """
 
     bits: int | None
-    phases: np.ndarray | None = field(default=None, compare=False)
+    phases: np.ndarray | None = field(default=None, init=False, compare=False)
     unit: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.bits is None:
-            if self.phases is not None:
-                raise ValueError("continuous codebook carries no phase table")
             return
         if self.bits < 1:
             raise ValueError("bits must be >= 1")
-        if self.phases is None:
-            levels = 2**self.bits
-            table = -np.pi + np.arange(levels) * (np.pi / 2 ** (self.bits - 1))
-            object.__setattr__(self, "phases", table)
-        object.__setattr__(self, "unit", np.exp(1j * self.phases))
+        table = -np.pi + np.arange(2**self.bits) * (np.pi / 2 ** (self.bits - 1))
+        object.__setattr__(self, "phases", table)
+        object.__setattr__(self, "unit", np.exp(1j * table))
 
     @classmethod
     def quantized(cls, bits):
@@ -66,10 +63,6 @@ class PhaseCodebook:
     @property
     def is_continuous(self):
         return self.bits is None
-
-    def label(self):
-        """Codebook tag used in CSV output: the bit count, or 'inf'."""
-        return "inf" if self.bits is None else str(self.bits)
 
 
 def quantize_phases(values, codebook):
@@ -115,7 +108,7 @@ def _expand(state, codebook):
 def _nearest_index(angles, codebook):
     """Index of the wrapped-nearest codebook phase, smaller phase on ties.
 
-    Equivalent to an exhaustive argmin of |wrapped_diff(phase, angle)| over
+    Equivalent to an exhaustive argmin of |wrap_phase(phase - angle)| over
     the codebook (first minimum wins).  One rounding pass does the work:
     the nearest slot is ``x = (angle + pi) / spacing`` rounded to the
     nearest integer, with slot ``levels`` (angle near +pi) wrapping to 0.
@@ -151,16 +144,11 @@ def _bracket_index(angles, codebook):
     spacing = np.pi / 2 ** (codebook.bits - 1)
     lo = np.clip(np.floor((angles + np.pi) / spacing).astype(np.int64), 0, levels - 1)
     hi = np.where(lo + 1 == levels, 0, lo + 1)
-    d_lo = np.abs(wrapped_diff(table[lo], angles))
-    d_hi = np.abs(wrapped_diff(table[hi], angles))
+    d_lo = np.abs(wrap_phase(table[lo] - angles))
+    d_hi = np.abs(wrap_phase(table[hi] - angles))
     # ties go to the smaller index; the seam pair (levels-1, 0) inverts that
     lo_wins = np.where(hi == 0, d_lo < d_hi, d_lo <= d_hi)
     return np.where(lo_wins, lo, hi)
-
-
-def wrapped_diff(a, b):
-    """Difference a - b wrapped to [-pi, pi)."""
-    return np.mod(a - b + np.pi, 2.0 * np.pi) - np.pi
 
 
 def spectral_norm_sq(matrix):
@@ -196,7 +184,7 @@ class EffectiveMatrix:
         if not feed_power > 0.0:
             raise ValueError("feed_power must be positive")
         coeffs = surface.complex_coeffs()
-        gains = np.asarray(post_gains.gains)
+        gains = np.asarray(post_gains)
         scaled = gains[:, None] * np.asarray(channel_matrix)
         return cls.from_matrix(np.sqrt(feed_power) * scaled * coeffs[None, :])
 
@@ -256,26 +244,6 @@ def _seed(eff, symbols, codebook):
     return _project(unit, codebook)
 
 
-def optimal_gain(eff, w, symbols):
-    """Closed-form real gain minimizing ||s - A * Heff @ w||^2 over A."""
-    projected = eff.matrix @ w
-    denom = float(np.real(np.vdot(projected, projected)))
-    if denom < np.finfo(float).eps:
-        raise DegenerateDirectionError("Heff @ w has (numerically) zero norm")
-    return float(np.real(np.vdot(projected, symbols)) / denom)
-
-
-def step_size(step_scale, gain, spectral_sq):
-    """Literal step-size rule step_scale * A / rho2(A*Heff) = scale/(A*rho2).
-
-    Negative gains propagate their sign; the solve loop guards against that
-    (see ``_guarded_step``), this helper does not.
-    """
-    if gain == 0.0:
-        raise StalledGainError("gain update returned zero")
-    return step_scale / (gain * spectral_sq)
-
-
 def _guarded_step(step_scale, gains, spectral_sq):
     """Vectorized step sizes with the non-positive-gain guard applied.
 
@@ -299,7 +267,6 @@ class TuningSolution:
     final_objective: float     # ||s - A * Heff @ w||^2 of the returned pair
     converged: bool            # stopped by threshold rather than iteration cap
     negative_gain_events: int
-    trace_length: int          # number of objective evaluations recorded
 
 
 @dataclass(frozen=True)
@@ -313,7 +280,6 @@ class BlockSolution:
     final_objectives: np.ndarray     # (N,)
     converged: np.ndarray            # (N,) bool
     negative_gain_events: np.ndarray  # (N,) int
-    trace_lengths: np.ndarray        # (N,) int
 
     def interval(self, n):
         return TuningSolution(
@@ -324,7 +290,6 @@ class BlockSolution:
             final_objective=float(self.final_objectives[n]),
             converged=bool(self.converged[n]),
             negative_gain_events=int(self.negative_gain_events[n]),
-            trace_length=int(self.trace_lengths[n]),
         )
 
 
@@ -429,7 +394,6 @@ def solve_block(eff, symbols, codebook, options=None):
         best_obj[improved] = obj_fin[improved]
         best_state[:, improved] = state[:, improved]
         best_gain[improved] = gains_fin[improved]
-    trace_lengths = iterations + 1
 
     if options.track_best:
         out_state, out_gain, out_obj = best_state, best_gain, best_obj
@@ -447,7 +411,6 @@ def solve_block(eff, symbols, codebook, options=None):
         final_objectives=out_obj,
         converged=converged,
         negative_gain_events=negative_events,
-        trace_lengths=trace_lengths,
     )
 
 

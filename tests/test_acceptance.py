@@ -24,11 +24,11 @@ from ristx.harness import (
     preset_config,
     run_sweep,
 )
-from ristx.metrics import SymbolBlock, distortion, transmit_block
+from ristx.metrics import distortion, transmit_block
 from ristx.solver import (
     EffectiveMatrix,
     PhaseCodebook,
-    optimal_gain,
+    _gain_and_objective,
     quantize_phases,
     solve,
     solve_block,
@@ -241,7 +241,7 @@ def test_criterion_08_gain_optimality():
         eff = EffectiveMatrix.from_matrix(crandn(rng, k, m))
         s = crandn(rng, k)
         w = quantize_phases(crandn(rng, m), PhaseCodebook.continuous())
-        best = optimal_gain(eff, w, s)
+        best = float(_gain_and_objective(eff, w[:, None], s[:, None])[0][0])
 
         def objective(gain):
             r = s - gain * (eff.matrix @ w)
@@ -267,10 +267,10 @@ def test_criterion_09_path_loss_invariance():
         users = draw_users(k, cell, np.random.default_rng(9000 + draw))
         chan = assemble_channel(users, fading)
         gains = compensating_gains(users)
-        eff = EffectiveMatrix.build(cfg.feed_power, gains, chan.matrix, surface)
+        eff = EffectiveMatrix.build(cfg.feed_power, gains, chan, surface)
         sol = solve_block(eff, symbols, codebook, cfg.solver_options())
         x = transmit_block(surface, cfg.feed_power, sol.w, sol.gains)
-        values.append(distortion(SymbolBlock(symbols), gains, chan.matrix, x))
+        values.append(distortion(symbols, gains, chan, x))
     values = np.array(values)
     spread = float(np.max(np.abs(values - values[0])) / values[0])
     ok = spread <= 1e-12

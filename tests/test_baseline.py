@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from ristx.baseline import mf_post_gains, mf_precode, mf_precode_block
+from ristx.baseline import mf_post_gains, mf_precode_block
 from ristx.channel import UserLargeScale
 from ristx.errors import DegenerateDirectionError
-from ristx.metrics import SymbolBlock, TransmitBlock, distortion
+from ristx.metrics import distortion
 
 
 def crandn(rng, *shape):
@@ -14,22 +14,26 @@ def crandn(rng, *shape):
 def user(shadowing=1.0, r_norm=1.0, nu=3.2):
     return UserLargeScale(
         distance=100.0 * r_norm,
-        normalized_distance=r_norm,
         shadowing=shadowing,
-        path_loss_exponent=nu,
-        reference_distance=100.0,
+        path_gain=shadowing / r_norm**nu,
     )
+
+
+def precode_column(h, s, target):
+    """The block precoder on a single interval: one symbol column."""
+    x, _ = mf_precode_block(h, np.asarray(s)[:, None], [target])
+    return x[:, 0]
 
 
 class TestPrecode:
     def test_zero_target_gives_zero_vector(self):
         h = np.array([[1.0 + 0j, 2.0 + 0j]])
-        x = mf_precode(h, np.array([2.0 + 0j]), 0.0)
+        x = precode_column(h, np.array([2.0 + 0j]), 0.0)
         assert np.array_equal(x, np.zeros(2, dtype=complex))
 
     def test_hand_value(self):
         h = np.array([[1.0 + 0j, 0.0 + 0j]])
-        x = mf_precode(h, np.array([2.0 + 0j]), 4.0)
+        x = precode_column(h, np.array([2.0 + 0j]), 4.0)
         assert np.allclose(x, [2.0, 0.0], atol=1e-15)
 
     def test_power_match_on_random_instances(self):
@@ -38,14 +42,14 @@ class TestPrecode:
             h = crandn(rng, 3, 6)
             s = crandn(rng, 3)
             target = float(rng.uniform(0.1, 10.0))
-            x = mf_precode(h, s, target)
+            x = precode_column(h, s, target)
             assert np.real(np.vdot(x, x)) == pytest.approx(target, rel=1e-12)
 
     def test_direction_is_nonnegative_multiple(self):
         rng = np.random.default_rng(1)
         h = crandn(rng, 2, 5)
         s = crandn(rng, 2)
-        x = mf_precode(h, s, 3.0)
+        x = precode_column(h, s, 3.0)
         d = h.conj().T @ s
         scale = np.real(np.vdot(d, x)) / np.real(np.vdot(d, d))
         assert scale > 0
@@ -55,12 +59,12 @@ class TestPrecode:
         h = np.array([[1.0 + 0j], [-1.0 + 0j]])
         s = np.array([1.0 + 0j, 1.0 + 0j])
         with pytest.raises(DegenerateDirectionError):
-            mf_precode(h, s, 1.0)
-        assert np.array_equal(mf_precode(h, s, 0.0), np.zeros(1, dtype=complex))
+            precode_column(h, s, 1.0)
+        assert np.array_equal(precode_column(h, s, 0.0), np.zeros(1, dtype=complex))
 
     def test_negative_target_rejected(self):
         with pytest.raises(ValueError):
-            mf_precode(np.eye(2, dtype=complex), np.ones(2), -1.0)
+            precode_column(np.eye(2, dtype=complex), np.ones(2), -1.0)
 
     def test_block_matches_per_interval(self):
         rng = np.random.default_rng(2)
@@ -69,7 +73,7 @@ class TestPrecode:
         targets = rng.uniform(0.1, 4.0, 9)
         x_block, scales = mf_precode_block(h, s, targets)
         for n in range(9):
-            assert np.allclose(x_block[:, n], mf_precode(h, s[:, n], targets[n]),
+            assert np.allclose(x_block[:, n], precode_column(h, s[:, n], targets[n]),
                                rtol=1e-12)
         assert np.all(scales > 0)
 
@@ -77,13 +81,13 @@ class TestPrecode:
 class TestPostGains:
     def test_unit_case(self):
         g = mf_post_gains([user()], 1, 1.0)
-        assert g.gains[0] == 1.0
+        assert g[0] == 1.0
 
     def test_doubling_mean_scale_halves_gains(self):
         users = [user(shadowing=2.0, r_norm=3.0), user()]
         g1 = mf_post_gains(users, 16, 1.0)
         g2 = mf_post_gains(users, 16, 2.0)
-        assert np.array_equal(g2.gains, g1.gains / 2.0)
+        assert np.array_equal(g2, g1 / 2.0)
 
     def test_nonpositive_mean_scale(self):
         with pytest.raises(ValueError):
@@ -95,7 +99,7 @@ class TestPostGains:
         rng = np.random.default_rng(3)
         m = 4
         ls = [user(shadowing=2.0, r_norm=1.5)]
-        rho = ls[0].shadowing / ls[0].normalized_distance**3.2
+        rho = ls[0].path_gain
         s = np.array([1.5 - 0.5j])
         draws = 2500
         intervals = 4
@@ -108,7 +112,7 @@ class TestPostGains:
             x, scales = mf_precode_block(channel, s_block, targets)
             g = mf_post_gains(ls, m, float(np.mean(scales)))
             y = channel @ x
-            collected.append((g.gains[0] * y[0]).mean())
+            collected.append((g[0] * y[0]).mean())
         mean = np.mean(collected)
         assert abs(mean - s[0]) < 0.02 * abs(s[0])
 
@@ -119,5 +123,5 @@ class TestPostGains:
         s = crandn(rng, 2, 5)
         x, scales = mf_precode_block(h, s, np.full(5, 2.0))
         g = mf_post_gains([user(), user()], 6, float(np.mean(scales)))
-        d = distortion(SymbolBlock(s), g, h, TransmitBlock(x, scales))
+        d = distortion(s, g, h, x)
         assert np.isfinite(d) and d >= 0.0

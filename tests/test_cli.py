@@ -49,6 +49,25 @@ class TestValidateConfig:
         err = capsys.readouterr().err
         assert "b_list" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "data,field,message",
+        [
+            ({"m_list": 64}, "m_list", "must be a JSON array"),
+            ({"b_list": 4}, "b_list", "must be a JSON array"),
+            ({"schemes": "single_rf"}, "schemes", "must be a JSON array"),
+            ({"b_list": [4.5]}, "b_list", "is not a bit depth"),
+            ({"b_list": [True]}, "b_list", "is not a bit depth"),
+        ],
+        ids=["m_list-scalar", "b_list-scalar", "schemes-string", "b_list-fraction",
+             "b_list-bool"],
+    )
+    def test_mistyped_list_field_named(self, tmp_path, capsys, data, field, message):
+        path = write_config(tmp_path, data)
+        assert main(["validate-config", path]) == 2
+        err = capsys.readouterr().err
+        assert f"config field '{field}'" in err and message in err
+        assert "Traceback" not in err
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate-config", str(tmp_path / "nope.json")]) == 2
         assert "cannot read" in capsys.readouterr().err

@@ -119,9 +119,7 @@ class TestPatternGain:
         with pytest.raises(ValueError):
             FeedPattern.ideal_sector(3.5)
         with pytest.raises(ValueError):
-            FeedPattern("ideal-sector", 1.0, -2.0)
-        with pytest.raises(ValueError):
-            FeedPattern("cosine", 1.0, 1.0)
+            FeedPattern(1.0, -2.0)
 
 
 def unit_grid(radius, wavelength=0.008):

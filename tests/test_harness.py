@@ -63,6 +63,8 @@ class TestConfig:
             ("num_intervals", 0),
             ("master_seed", -1),
             ("b_list", (17,)),
+            ("b_list", (4.5,)),
+            ("b_list", (True,)),
         ],
     )
     def test_invalid_fields_name_the_field(self, field, value):

@@ -3,11 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from ristx.errors import (
-    DegenerateDirectionError,
-    DegenerateSymbolError,
-    StalledGainError,
-)
+from ristx.errors import DegenerateDirectionError, DegenerateSymbolError
+from ristx.geometry import wrap_phase
+from ristx.harness import b_label
 from ristx.solver import (
     EffectiveMatrix,
     PhaseCodebook,
@@ -16,13 +14,10 @@ from ristx.solver import (
     _guarded_step,
     _nearest_index,
     initial_phase_vector,
-    optimal_gain,
     quantize_phases,
     solve,
     solve_block,
     spectral_norm_sq,
-    step_size,
-    wrapped_diff,
 )
 
 CONT = PhaseCodebook.continuous()
@@ -36,6 +31,11 @@ def random_problem(rng, num_users, num_elements):
     eff = EffectiveMatrix.from_matrix(crandn(rng, num_users, num_elements))
     s = crandn(rng, num_users)
     return eff, s
+
+
+def column_gain(eff, w, s):
+    """Closed-form gain of one interval, from the solve loop's own update."""
+    return float(_gain_and_objective(eff, w[:, None], s[:, None])[0][0])
 
 
 def objective(eff, w, s, gain):
@@ -81,8 +81,8 @@ class TestCodebook:
             PhaseCodebook.quantized(0)
 
     def test_labels(self):
-        assert PhaseCodebook.quantized(4).label() == "4"
-        assert CONT.label() == "inf"
+        assert b_label(PhaseCodebook.quantized(4).bits) == "4"
+        assert b_label(CONT.bits) == "inf"
         assert CONT.is_continuous
 
 
@@ -125,9 +125,9 @@ class TestQuantize:
         cb = PhaseCodebook.quantized(3)
         u = crandn(np.random.default_rng(12), 500)
         w = quantize_phases(u, cb)
-        chosen = np.abs(wrapped_diff(np.angle(w), np.angle(u)))
+        chosen = np.abs(wrap_phase(np.angle(w) - np.angle(u)))
         for phase in cb.phases:
-            alt = np.abs(wrapped_diff(phase, np.angle(u)))
+            alt = np.abs(wrap_phase(phase - np.angle(u)))
             assert np.all(chosen <= alt + 1e-12)
 
     def test_zero_maps_to_first_entry(self):
@@ -157,7 +157,7 @@ class TestQuantize:
         cb = PhaseCodebook.quantized(bits)
 
         def exhaustive_index(ang):
-            dist = np.abs(wrapped_diff(cb.phases.reshape((-1,) + (1,) * ang.ndim), ang))
+            dist = np.abs(wrap_phase(cb.phases.reshape((-1,) + (1,) * ang.ndim) - ang))
             return np.argmin(dist, axis=0)
 
         def exhaustive(u):
@@ -222,15 +222,15 @@ class TestInit:
 class TestGain:
     def test_exact_fit(self):
         eff = EffectiveMatrix.from_matrix(np.array([[1.0 + 0j]]))
-        assert optimal_gain(eff, np.array([1.0 + 0j]), np.array([2.0 + 0j])) == 2.0
+        assert column_gain(eff, np.array([1.0 + 0j]), np.array([2.0 + 0j])) == 2.0
 
     def test_orthogonal_symbols(self):
         eff = EffectiveMatrix.from_matrix(np.array([[1.0 + 0j]]))
-        assert optimal_gain(eff, np.array([1.0 + 0j]), np.array([5.0j])) == 0.0
+        assert column_gain(eff, np.array([1.0 + 0j]), np.array([5.0j])) == 0.0
 
     def test_two_user_hand_value(self):
         eff = EffectiveMatrix.from_matrix(np.eye(2, dtype=complex))
-        gain = optimal_gain(eff, np.array([1.0 + 0j, 1.0 + 0j]), np.array([1.0, 1.0j]))
+        gain = column_gain(eff, np.array([1.0 + 0j, 1.0 + 0j]), np.array([1.0, 1.0j]))
         assert gain == pytest.approx(0.5)
 
     def test_is_global_minimizer(self):
@@ -238,7 +238,7 @@ class TestGain:
         for _ in range(50):
             eff, s = random_problem(rng, 3, 6)
             w = quantize_phases(crandn(rng, 6), CONT)
-            gain = optimal_gain(eff, w, s)
+            gain = column_gain(eff, w, s)
             base = objective(eff, w, s, gain)
             assert objective(eff, w, s, gain + 1e-3) > base
             assert objective(eff, w, s, gain - 1e-3) > base
@@ -246,22 +246,15 @@ class TestGain:
     def test_degenerate_direction(self):
         eff = EffectiveMatrix.from_matrix(np.array([[1.0, -1.0]]))
         with pytest.raises(DegenerateDirectionError):
-            optimal_gain(eff, np.array([1.0 + 0j, 1.0 + 0j]), np.array([1.0 + 0j]))
+            column_gain(eff, np.array([1.0 + 0j, 1.0 + 0j]), np.array([1.0 + 0j]))
 
 
 class TestStepSize:
     def test_direct_substitution(self):
-        assert step_size(0.5, 1.0, 4.0) == pytest.approx(0.125)
+        assert _guarded_step(0.5, np.array([1.0]), 4.0)[0][0] == pytest.approx(0.125)
 
     def test_simplified_identity(self):
-        assert step_size(0.5, 2.0, 4.0) == pytest.approx(0.0625)
-
-    def test_negative_gain_literal(self):
-        assert step_size(0.5, -1.0, 1.0) == pytest.approx(-0.5)
-
-    def test_zero_gain_stalls(self):
-        with pytest.raises(StalledGainError):
-            step_size(0.5, 0.0, 1.0)
+        assert _guarded_step(0.5, np.array([2.0]), 4.0)[0][0] == pytest.approx(0.0625)
 
     def test_guard_uses_magnitude_with_floor(self):
         steps, bad = _guarded_step(0.5, np.array([-1.0, 2.0, 0.0]), 1.0)
@@ -329,7 +322,7 @@ class TestSolve:
             for _ in range(20):
                 eff, s = random_problem(rng, 2, 8)
                 w0 = initial_phase_vector(eff, s, cb)
-                first = objective(eff, w0, s, optimal_gain(eff, w0, s))
+                first = objective(eff, w0, s, column_gain(eff, w0, s))
                 sol = solve(eff, s, cb)
                 assert sol.final_objective <= first + 1e-12
 
@@ -358,7 +351,7 @@ class TestSolve:
             for _ in range(20):
                 eff, s = random_problem(rng, 3, 10)
                 sol = solve(eff, s, cb)
-                assert sol.gain == pytest.approx(optimal_gain(eff, sol.w, s), rel=1e-12)
+                assert sol.gain == pytest.approx(column_gain(eff, sol.w, s), rel=1e-12)
 
     def test_solution_invariants(self):
         rng = np.random.default_rng(23)
@@ -378,7 +371,7 @@ class TestSolve:
             eff, s = random_problem(rng, 2, 8)
             sol = solve(eff, s, CONT, opts)
             assert sol.converged
-            gain = optimal_gain(eff, sol.w, s)
+            gain = column_gain(eff, sol.w, s)
             psi, _ = _guarded_step(opts.step_scale, np.array([gain]),
                                    eff.spectral_norm_sq)
             grad_dir = eff.matrix.conj().T @ (s - gain * (eff.matrix @ sol.w))
@@ -498,7 +491,6 @@ class TestBlockSolver:
         batched = solve_block(eff, block, CONT)
         one = batched.interval(1)
         assert np.array_equal(one.w, batched.w[:, 1])
-        assert one.trace_length == batched.iterations[1] + 1
 
     @pytest.mark.parametrize("track_best", [True, False])
     @pytest.mark.parametrize("bits", [1, 2, 4])
@@ -535,7 +527,6 @@ class TestBlockSolver:
 
 class TestEffectiveMatrix:
     def test_build_combines_factors(self):
-        from ristx.channel import PostGains
         from ristx.geometry import SurfaceModel
 
         surface = SurfaceModel(
@@ -546,7 +537,7 @@ class TestEffectiveMatrix:
             feed_distance=0.1,
         )
         chan = np.array([[1.0 + 0j, 2.0 + 0j]])
-        eff = EffectiveMatrix.build(4.0, PostGains(np.array([3.0])), chan, surface)
+        eff = EffectiveMatrix.build(4.0, np.array([3.0]), chan, surface)
         expected = 2.0 * 3.0 * chan * (surface.attenuation * np.exp(1j * surface.phase))
         assert np.allclose(eff.matrix, expected, rtol=1e-15)
         assert eff.spectral_norm_sq == pytest.approx(
@@ -554,13 +545,11 @@ class TestEffectiveMatrix:
         )
 
     def test_bad_power(self):
-        from ristx.channel import PostGains
         from ristx.geometry import SurfaceModel
 
         surface = SurfaceModel(np.array([1.0]), np.array([0.0]), 1.0, 0.008, 0.1)
         with pytest.raises(ValueError):
-            EffectiveMatrix.build(0.0, PostGains(np.array([1.0])),
-                                  np.array([[1.0 + 0j]]), surface)
+            EffectiveMatrix.build(0.0, np.array([1.0]), np.array([[1.0 + 0j]]), surface)
 
 
 class TestSolverOptions:
