@@ -21,16 +21,6 @@ class Cell:
     path_loss_exponent: float
     shadow_std_db: float
 
-    def __post_init__(self):
-        if not self.r_min > 0.0:
-            raise ValueError("r_min must be positive")
-        if not self.r_max > self.r_min:
-            raise ValueError("r_max must exceed r_min")
-        if not self.path_loss_exponent > 0.0:
-            raise ValueError("path_loss_exponent must be positive")
-        if self.shadow_std_db < 0.0:
-            raise ValueError("shadow_std_db must be nonnegative")
-
 
 @dataclass(frozen=True)
 class UserLargeScale:

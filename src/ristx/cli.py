@@ -11,7 +11,6 @@ from .harness import (
     TRIAL_COLUMNS,
     SimConfig,
     format_row,
-    parse_codebook_spec,
     preset_config,
     run_sweep,
     run_trial,
@@ -104,22 +103,18 @@ def _cmd_sweep(args):
 
 
 def _cmd_trial(args):
+    data = {"master_seed": args.seed, "m_list": [args.M], "k_list": [args.K],
+            "b_list": [args.B]}
+    if args.intervals is not None:
+        data["num_intervals"] = args.intervals
+    if not args.with_baseline:
+        data["schemes"] = ["single_rf"]
     try:
-        b = parse_codebook_spec(args.B)
-        overrides = {
-            "master_seed": args.seed,
-            "m_list": (args.M,),
-            "k_list": (args.K,),
-            "b_list": (b,),
-        }
-        if args.intervals is not None:
-            overrides["num_intervals"] = args.intervals
-        if not args.with_baseline:
-            overrides["schemes"] = ("single_rf",)
-        cfg = SimConfig(**overrides).validate()
+        cfg = SimConfig.from_dict(data)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_EXIT
+    (b,) = cfg.b_list
     try:
         if args.json:
             _, record = run_trial(cfg, args.K, args.M, b, args.trial_index,
@@ -131,9 +126,6 @@ def _cmd_trial(args):
             sys.stdout.write(",".join(TRIAL_COLUMNS) + "\n")
             for row in rows:
                 sys.stdout.write(format_row(row, TRIAL_COLUMNS))
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return USAGE_EXIT
     except Exception as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -92,93 +92,47 @@ class SimConfig:
     schemes: tuple = (SCHEME_SINGLE_RF, SCHEME_MF)
 
     def validate(self):
-        if not self.feed_power > 0:
-            raise ConfigError("feed_power", "must be positive")
-        if not self.wavelength > 0:
-            raise ConfigError("wavelength", "must be positive")
-        if not self.m_list:
-            raise ConfigError("m_list", "must not be empty")
-        for m in self.m_list:
-            if int(m) != m or m < 1 or math.isqrt(int(m)) ** 2 != int(m):
-                raise ConfigError("m_list", f"{m} is not a positive perfect square")
-        if self.feed_distance is not None and not self.feed_distance > 0:
-            raise ConfigError("feed_distance", "must be positive or null")
-        if not 0 < 10.0 ** (self.zeta_db / 10.0) <= 1.0:
-            raise ConfigError("zeta_db", "efficiency must lie in (0, 1], i.e. <= 0 dB")
-        if not 0 < self.feed_beamwidth_deg <= 180.0:
-            raise ConfigError("feed_beamwidth_deg", "must be in (0, 180]")
-        if not self.b_list:
-            raise ConfigError("b_list", "must not be empty")
-        for b in self.b_list:
-            if b is not None and not (_is_whole(b) and 1 <= b <= MAX_CODEBOOK_BITS):
-                raise ConfigError("b_list", f"{b!r} is not a bit depth in "
-                                  f"1..{MAX_CODEBOOK_BITS} or 'continuous'")
-        if not self.k_list:
-            raise ConfigError("k_list", "must not be empty")
-        for k in self.k_list:
-            if int(k) != k or k < 1:
-                raise ConfigError("k_list", f"{k!r} is not a positive integer")
-        if self.num_intervals < 1:
-            raise ConfigError("num_intervals", "must be >= 1")
-        if not self.path_loss_exponent > 0:
-            raise ConfigError("path_loss_exponent", "must be positive")
-        if self.shadow_std_db < 0:
-            raise ConfigError("shadow_std_db", "must be nonnegative")
-        if not self.r_min > 0:
-            raise ConfigError("r_min", "must be positive")
-        if not self.r_max > self.r_min:
-            raise ConfigError("r_max", "must exceed r_min")
-        if self.trials < 1:
-            raise ConfigError("trials", "must be >= 1")
-        if self.master_seed < 0:
-            raise ConfigError("master_seed", "must be nonnegative")
-        if self.noise_var < 0:
-            raise ConfigError("noise_var", "must be nonnegative")
-        if not 0 < self.step_scale < 1:
-            raise ConfigError("step_scale", "must be in (0, 1)")
-        if self.change_threshold is not None and not self.change_threshold > 0:
-            raise ConfigError("change_threshold", "must be positive or null")
-        if self.max_iterations < 1:
-            raise ConfigError("max_iterations", "must be >= 1")
-        if not self.schemes:
-            raise ConfigError("schemes", "must not be empty")
-        for s in self.schemes:
-            if s not in (SCHEME_SINGLE_RF, SCHEME_MF):
-                raise ConfigError("schemes", f"unknown scheme {s!r}")
-        if SCHEME_SINGLE_RF not in self.schemes:
-            raise ConfigError("schemes", "the single-RF scheme is required "
-                              "(the benchmark power-matches against it)")
-        return self
+        """This config in canonical form (ints, floats, tuples), once every
+        field fits its row of ``_FIELDS`` and the ``_RULES`` hold; else a
+        ``ConfigError`` names the first field that does not."""
+        values = {}
+        for name, spec in self.__dataclass_fields__.items():
+            kind, ok, description = _FIELDS[name]
+            value = getattr(self, name)
+            if value is None and spec.default is None:
+                values[name] = None
+            elif isinstance(kind, list):
+                if not isinstance(value, (list, tuple)):
+                    raise ConfigError(name, "must be a JSON array")
+                if not value:
+                    raise ConfigError(name, "must not be empty")
+                values[name] = tuple(_fit(name, kind[0], ok, description, v)
+                                     for v in value)
+            else:
+                values[name] = _fit(name, kind, ok, description, value)
+        cfg = SimConfig(**values)
+        for name, holds, message in _RULES:
+            if not holds(cfg):
+                raise ConfigError(name, message)
+        return cfg
 
     def to_dict(self):
-        d = asdict(self)
-        d["m_list"] = [int(m) for m in self.m_list]
-        d["b_list"] = ["continuous" if b is None else int(b) for b in self.b_list]
-        d["k_list"] = [int(k) for k in self.k_list]
-        d["schemes"] = list(self.schemes)
-        return d
+        """JSON-ready fields: arrays as lists, the continuous codebook as
+        ``"continuous"``."""
+        return {
+            name: ["continuous" if v is None else v for v in value]
+            if isinstance(value, tuple) else value
+            for name, value in asdict(self).items()
+        }
 
     @classmethod
     def from_dict(cls, data):
         if not isinstance(data, dict):
             raise ConfigError("<root>", "config must be a JSON object")
-        known = {f: None for f in cls.__dataclass_fields__}
-        unknown = [k for k in data if k not in known]
+        unknown = [k for k in data if k not in _FIELDS]
         if unknown:
             raise ConfigError(unknown[0], "unknown config field")
-        kwargs = dict(data)
-        for name in ("m_list", "b_list", "k_list", "schemes"):
-            if name in kwargs:
-                if not isinstance(kwargs[name], list):
-                    raise ConfigError(name, "must be a JSON array")
-                kwargs[name] = tuple(kwargs[name])
-        if "b_list" in kwargs:
-            kwargs["b_list"] = tuple(map(parse_codebook_spec, kwargs["b_list"]))
-        try:
-            cfg = cls(**kwargs)
-        except TypeError as e:
-            raise ConfigError("<root>", str(e)) from e
-        return cfg.validate()
+        return cls(**data).validate()
 
     def solver_options(self):
         return SolverOptions(
@@ -197,29 +151,91 @@ class SimConfig:
         return self.wavelength * math.sqrt(num_elements / math.pi)
 
 
-def _is_whole(value):
-    """An int or a whole-valued float; bools and everything else are not."""
-    if isinstance(value, bool):
-        return False
-    return isinstance(value, (int, np.integer)) or (
-        isinstance(value, float) and value.is_integer()
-    )
+# Field kinds: each returns the value in canonical form or raises TypeError.
+def _real(value):
+    """A finite real, not a bool, as ``float``."""
+    if isinstance(value, bool) or not math.isfinite(value):
+        raise TypeError
+    return float(value)
 
 
-def parse_codebook_spec(value):
-    """Translate a codebook spelling from config/CLI.
-
-    ``None``, 'continuous' and 'inf' mean the continuous codebook (None) and
-    a digit string (``ristx trial -B 4``) a bit depth; any other non-string
-    value passes through unchanged, for ``SimConfig.validate`` to check.
-    """
-    if value is None or value in ("continuous", "inf"):
-        return None
-    if not isinstance(value, str):
-        return value
-    if not (value.isascii() and value.isdigit()):
-        raise ConfigError("b_list", f"cannot parse codebook spec {value!r}")
+def _whole(value):
+    """A whole number, not a bool, as ``int``: JSON ``4.0`` is ``4``."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if not _real(value).is_integer():
+        raise TypeError
     return int(value)
+
+
+def _bits(value):
+    """A bit depth, also as a digit string (``ristx trial -B 4``), or the
+    continuous codebook ``None``, also spelled "continuous" or "inf"."""
+    if isinstance(value, str):
+        if value in ("continuous", "inf"):
+            return None
+        if value.isascii() and value.isdigit():
+            return int(value)
+    return None if value is None else _whole(value)
+
+
+def _instance(cls):
+    """The kind of values that are instances of ``cls``, kept as they are."""
+    def kind(value):
+        if not isinstance(value, cls):
+            raise TypeError
+        return value
+    return kind
+
+
+def _fit(name, kind, ok, description, value):
+    """``value`` in the canonical form of ``kind``, if that meets ``ok``."""
+    try:
+        canonical = kind(value)
+        if ok(canonical):
+            return canonical
+    except (TypeError, OverflowError):
+        pass
+    raise ConfigError(name, f"{value!r} is not {description}")
+
+
+# field -> (kind, constraint, description).  The kind of an array field is
+# written [item kind]; its constraint and description apply to every entry.
+# A null value is allowed exactly where the default is None.
+_FIELDS = {
+    "feed_power": (_real, lambda v: v > 0, "a positive real"),
+    "wavelength": (_real, lambda v: v > 0, "a positive real"),
+    "m_list": ([_whole], lambda m: m >= 1 and math.isqrt(m) ** 2 == m,
+               "a positive perfect square"),
+    "feed_distance": (_real, lambda v: v > 0, "a positive real or null"),
+    "zeta_db": (_real, lambda z: z <= 0 and 10.0 ** (z / 10.0) > 0,
+                "a real <= 0 dB (an efficiency in (0, 1])"),
+    "feed_beamwidth_deg": (_real, lambda v: 0 < v <= 180, "a real in (0, 180]"),
+    "b_list": ([_bits], lambda b: b is None or 1 <= b <= MAX_CODEBOOK_BITS,
+               f"a bit depth in 1..{MAX_CODEBOOK_BITS} or 'continuous'"),
+    "k_list": ([_whole], lambda v: v > 0, "a positive whole number"),
+    "num_intervals": (_whole, lambda v: v > 0, "a positive whole number"),
+    "path_loss_exponent": (_real, lambda v: v > 0, "a positive real"),
+    "shadow_std_db": (_real, lambda v: v >= 0, "a nonnegative real"),
+    "r_min": (_real, lambda v: v > 0, "a positive real"),
+    "r_max": (_real, lambda v: v > 0, "a positive real"),
+    "trials": (_whole, lambda v: v > 0, "a positive whole number"),
+    "master_seed": (_whole, lambda v: v >= 0, "a nonnegative whole number"),
+    "noise_var": (_real, lambda v: v >= 0, "a nonnegative real"),
+    "step_scale": (_real, lambda v: 0 < v < 1, "a real in (0, 1)"),
+    "change_threshold": (_real, lambda v: v > 0, "a positive real or null"),
+    "max_iterations": (_whole, lambda v: v > 0, "a positive whole number"),
+    "track_best": (_instance(bool), lambda v: True, "true or false"),
+    "schemes": ([_instance(str)], lambda s: s in (SCHEME_SINGLE_RF, SCHEME_MF),
+                f"a scheme ('{SCHEME_SINGLE_RF}' or '{SCHEME_MF}')"),
+}
+
+# (field, rule, message), checked in order once every field fits its row
+_RULES = (
+    ("r_max", lambda c: c.r_max > c.r_min, "must exceed r_min"),
+    ("schemes", lambda c: SCHEME_SINGLE_RF in c.schemes,
+     "the single-RF scheme is required (the benchmark power-matches against it)"),
+)
 
 
 def b_label(b):
@@ -481,7 +497,7 @@ def run_sweep(cfg, output_dir, workers=1, resume=False, preset=None):
     it to the kernel (see ``_keep_freed_heap``).  This saves the page faults
     of re-allocating every trial's arrays; the setting is not undone.
     """
-    cfg.validate()
+    cfg = cfg.validate()
     _keep_freed_heap()
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -648,26 +664,21 @@ def _finite_mean(values):
     return float(np.mean(finite)) if finite else float("nan")
 
 
+# The figure-reproduction sweeps: the fields each sets, the rest default.
+_PRESETS = {
+    "fig2": {"m_list": [64, 121, 225], "b_list": [4],
+             "schemes": [SCHEME_SINGLE_RF, SCHEME_MF]},
+    "fig3": {"m_list": [64, 121, 225], "b_list": [4], "schemes": [SCHEME_SINGLE_RF]},
+    "fig4": {"m_list": [64], "b_list": [1, 2, 4, "continuous"],
+             "schemes": [SCHEME_SINGLE_RF]},
+}
+
+
 def preset_config(name, trials=None, master_seed=None):
     """The three figure-reproduction sweeps."""
-    overrides = {}
-    if trials is not None:
-        overrides["trials"] = trials
-    if master_seed is not None:
-        overrides["master_seed"] = master_seed
-    if name == "fig2":
-        return SimConfig(
-            m_list=(64, 121, 225), b_list=(4,),
-            schemes=(SCHEME_SINGLE_RF, SCHEME_MF), **overrides
-        ).validate()
-    if name == "fig3":
-        return SimConfig(
-            m_list=(64, 121, 225), b_list=(4,),
-            schemes=(SCHEME_SINGLE_RF,), **overrides
-        ).validate()
-    if name == "fig4":
-        return SimConfig(
-            m_list=(64,), b_list=(1, 2, 4, None),
-            schemes=(SCHEME_SINGLE_RF,), **overrides
-        ).validate()
-    raise ConfigError("preset", f"unknown preset {name!r}")
+    if name not in _PRESETS:
+        raise ConfigError("preset", f"unknown preset {name!r}")
+    overrides = {"trials": trials, "master_seed": master_seed}
+    return SimConfig.from_dict(
+        _PRESETS[name] | {k: v for k, v in overrides.items() if v is not None}
+    )

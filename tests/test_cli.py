@@ -57,9 +57,31 @@ class TestValidateConfig:
             ({"schemes": "single_rf"}, "schemes", "must be a JSON array"),
             ({"b_list": [4.5]}, "b_list", "is not a bit depth"),
             ({"b_list": [True]}, "b_list", "is not a bit depth"),
+            ({"trials": 2.5}, "trials", "2.5 is not a positive whole number"),
+            ({"master_seed": True}, "master_seed", "is not a nonnegative whole number"),
+            ({"m_list": [True]}, "m_list", "True is not a positive perfect square"),
+            ({"track_best": "no"}, "track_best", "'no' is not true or false"),
+            ({"r_max": float("inf")}, "r_max", "inf is not a positive real"),
+            ({"shadow_std_db": float("nan")}, "shadow_std_db", "nan is not a nonnegative real"),
+            ({"noise_var": float("nan")}, "noise_var", "nan is not a nonnegative real"),
+            ({"feed_distance": float("inf")}, "feed_distance", "is not a positive real or null"),
+            ({"change_threshold": float("inf")}, "change_threshold", "is not a positive real"),
+            ({"trials": "3"}, "trials", "'3' is not a positive whole number"),
+            ({"num_intervals": "10"}, "num_intervals", "'10' is not a positive whole number"),
+            ({"feed_power": "1"}, "feed_power", "'1' is not a positive real"),
+            ({"zeta_db": "0"}, "zeta_db", "'0' is not a real <= 0 dB"),
+            ({"m_list": ["abc"]}, "m_list", "'abc' is not a positive perfect square"),
+            ({"k_list": [None]}, "k_list", "None is not a positive whole number"),
+            ({"max_iterations": 1.5}, "max_iterations", "1.5 is not a positive whole number"),
+            ({"step_scale": float("nan")}, "step_scale", "nan is not a real in (0, 1)"),
         ],
         ids=["m_list-scalar", "b_list-scalar", "schemes-string", "b_list-fraction",
-             "b_list-bool"],
+             "b_list-bool", "trials-fraction", "master_seed-bool", "m_list-bool",
+             "track_best-string", "r_max-inf", "shadow_std_db-nan", "noise_var-nan",
+             "feed_distance-inf", "change_threshold-inf", "trials-string",
+             "num_intervals-string", "feed_power-string", "zeta_db-string",
+             "m_list-string", "k_list-null", "max_iterations-fraction",
+             "step_scale-nan"],
     )
     def test_mistyped_list_field_named(self, tmp_path, capsys, data, field, message):
         path = write_config(tmp_path, data)
@@ -148,6 +170,16 @@ class TestSweep:
     def test_rejects_both_config_and_preset(self, tmp_path, capsys):
         path = write_config(tmp_path, tiny_config_dict())
         assert main(["sweep", path, "--preset", "fig2", "-o", str(tmp_path)]) == 2
+
+    def test_whole_float_lists_sweep_like_ints(self, tmp_path):
+        outputs = []
+        for m, k in ((4, 2), (4.0, 2.0)):
+            path = write_config(tmp_path, tiny_config_dict() | {"m_list": [m], "k_list": [k]})
+            out = tmp_path / f"out-{m}"
+            assert main(["sweep", path, "-o", str(out)]) == 0
+            outputs.append([(out / name).read_bytes() for name in (TRIALS_CSV, SUMMARY_CSV)])
+        assert outputs[1] == outputs[0]
+        assert outputs[0][0].count(b"\n") == 1 + 2 * 2  # header, 2 trials x 2 schemes
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         cfg = tiny_config_dict()

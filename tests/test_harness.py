@@ -65,12 +65,40 @@ class TestConfig:
             ("b_list", (17,)),
             ("b_list", (4.5,)),
             ("b_list", (True,)),
+            ("step_scale", 0.0),
+            ("step_scale", 1.0),
+            ("change_threshold", 0.0),
+            ("max_iterations", 0),
+            ("r_max", 100.0),
+            ("r_min", 0.0),
+            ("shadow_std_db", -1.0),
+            ("path_loss_exponent", 0.0),
+            ("trials", 2.5),
         ],
     )
     def test_invalid_fields_name_the_field(self, field, value):
         with pytest.raises(ConfigError) as err:
             dataclasses.replace(SimConfig(), **{field: value}).validate()
         assert err.value.field == field
+
+    @pytest.mark.parametrize(
+        "value", [None, True, "x", 2.5, float("nan"), float("inf"), [], {}],
+        ids=["null", "true", "string", "fraction", "nan", "inf", "array", "object"],
+    )
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(SimConfig)])
+    def test_any_json_value_is_accepted_or_named(self, field, value):
+        try:
+            cfg = SimConfig.from_dict({field: value})
+        except ConfigError as err:
+            assert err.field == field
+        else:
+            assert cfg.validate() == cfg
+
+    def test_whole_floats_become_ints(self):
+        cfg = SimConfig.from_dict({"m_list": [4.0], "k_list": [2.0], "b_list": [2.0],
+                                   "trials": 3.0})
+        values = (*cfg.m_list, *cfg.k_list, *cfg.b_list, cfg.trials)
+        assert values == (4, 2, 2, 3) and all(type(v) is int for v in values)
 
     def test_round_trip(self):
         cfg = tiny_config()

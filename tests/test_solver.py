@@ -553,16 +553,6 @@ class TestEffectiveMatrix:
 
 
 class TestSolverOptions:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SolverOptions(step_scale=0.0)
-        with pytest.raises(ValueError):
-            SolverOptions(step_scale=1.0)
-        with pytest.raises(ValueError):
-            SolverOptions(change_threshold=0.0)
-        with pytest.raises(ValueError):
-            SolverOptions(max_iterations=0)
-
     def test_default_threshold_scales_with_elements(self):
         opts = SolverOptions()
         assert opts.resolved_threshold(64) == pytest.approx(0.08)
