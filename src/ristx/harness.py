@@ -9,8 +9,10 @@ order or worker count, and a sweep can resume by trial index.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import datetime as _dt
+import itertools
 import json
 import math
 import sys
@@ -29,7 +31,7 @@ from .channel import (
     draw_fading,
     draw_users,
 )
-from .errors import ConfigError
+from .errors import ConfigError, UnilluminatedElementError
 from .geometry import FeedPattern, layout_elements, propagation_coeffs
 from .metrics import (
     average_power,
@@ -43,6 +45,7 @@ from .solver import EffectiveMatrix, PhaseCodebook, SolverOptions, solve_block
 
 SCHEME_SINGLE_RF = "single_rf"
 SCHEME_MF = "mf_digital"
+SCHEMES = (SCHEME_SINGLE_RF, SCHEME_MF)  # the order in which a trial emits them
 
 TRIALS_CSV = "trials.csv"
 SUMMARY_CSV = "summary.csv"
@@ -89,12 +92,13 @@ class SimConfig:
     change_threshold: float | None = None  # None -> solver default (1.25e-3 per element)
     max_iterations: int = 1000
     track_best: bool = True
-    schemes: tuple = (SCHEME_SINGLE_RF, SCHEME_MF)
+    schemes: tuple = SCHEMES
 
     def validate(self):
-        """This config in canonical form (ints, floats, tuples), once every
-        field fits its row of ``_FIELDS`` and the ``_RULES`` hold; else a
-        ``ConfigError`` names the first field that does not."""
+        """This config in canonical form (ints, floats, tuples, schemes in
+        ``SCHEMES`` order), once every field fits its row of ``_FIELDS`` and
+        no rule of ``_RULES`` objects; else a ``ConfigError`` names the first
+        field that does not."""
         values = {}
         for name, spec in self.__dataclass_fields__.items():
             kind, ok, description = _FIELDS[name]
@@ -110,9 +114,11 @@ class SimConfig:
                                      for v in value)
             else:
                 values[name] = _fit(name, kind, ok, description, value)
+        values["schemes"] = tuple(sorted(values["schemes"], key=SCHEMES.index))
         cfg = SimConfig(**values)
-        for name, holds, message in _RULES:
-            if not holds(cfg):
+        for name, objection in _RULES:
+            message = objection(cfg)
+            if message:
                 raise ConfigError(name, message)
         return cfg
 
@@ -226,15 +232,31 @@ _FIELDS = {
     "change_threshold": (_real, lambda v: v > 0, "a positive real or null"),
     "max_iterations": (_whole, lambda v: v > 0, "a positive whole number"),
     "track_best": (_instance(bool), lambda v: True, "true or false"),
-    "schemes": ([_instance(str)], lambda s: s in (SCHEME_SINGLE_RF, SCHEME_MF),
+    "schemes": ([_instance(str)], lambda s: s in SCHEMES,
                 f"a scheme ('{SCHEME_SINGLE_RF}' or '{SCHEME_MF}')"),
 }
 
-# (field, rule, message), checked in order once every field fits its row
+
+def _unlit_surface(cfg):
+    """Why the feed beam misses an element of a configured surface size, if
+    it does; every trial at that size would fail."""
+    for m in cfg.m_list:
+        try:
+            build_surface(cfg, m)
+        except UnilluminatedElementError as e:
+            return f"leaves the M={m} surface partly unlit: {e}"
+    return None
+
+
+# (field, objection), checked in order once every field fits its row; an
+# objection returns what is wrong with the config, or a false value
 _RULES = (
-    ("r_max", lambda c: c.r_max > c.r_min, "must exceed r_min"),
-    ("schemes", lambda c: SCHEME_SINGLE_RF in c.schemes,
+    ("r_max", lambda c: c.r_max <= c.r_min and "must exceed r_min"),
+    ("schemes", lambda c: SCHEME_SINGLE_RF not in c.schemes and
      "the single-RF scheme is required (the benchmark power-matches against it)"),
+    ("schemes", lambda c: len(set(c.schemes)) < len(c.schemes) and
+     "lists a scheme twice"),
+    ("feed_beamwidth_deg", _unlit_surface),
 )
 
 
@@ -270,7 +292,8 @@ def derive_trial_streams(master_seed, num_users, num_elements, b, trial_index):
 
 
 class TrialError(RuntimeError):
-    """A module error annotated with the sweep point that raised it."""
+    """A module error annotated with the sweep point that raised it, or the
+    count and first such error of a sweep's failed trials."""
 
 
 def run_trial(cfg, num_users, num_elements, b, trial_index, surface=None,
@@ -417,12 +440,13 @@ def format_row(row, columns):
     return ",".join(_format_value(row[c]) for c in columns) + "\n"
 
 
-def _point_rows(cfg, num_elements, b, num_users, trial_indices):
-    """Worker entry: all rows of one sweep point (picklable arguments only)."""
+def _point_rows(cfg, num_elements, b, num_users, first_trial):
+    """Worker entry: the rows and failure messages of one sweep point's
+    trials from ``first_trial`` on (picklable arguments only)."""
     surface = build_surface(cfg, num_elements)
     rows = []
     failures = []
-    for idx in trial_indices:
+    for idx in range(first_trial, cfg.trials):
         try:
             rows.extend(trial_rows(cfg, num_users, num_elements, b, idx, surface))
         except TrialError as e:
@@ -449,9 +473,26 @@ def _read_existing_rows(path):
     return rows
 
 
-def _row_key(row):
-    return (row["scheme"], str(row["K"]), str(row["M"]), str(row["B"]),
-            str(row["trial_index"]))
+def _planned_keys(cfg, points):
+    """(scheme, K, M, B, trial_index, trial_seed) of each planned row, in
+    order; lazy, so a caller derives seeds only for the rows it takes."""
+    for m, b, k in points:
+        for idx in range(cfg.trials):
+            seed = str(derive_trial_streams(cfg.master_seed, k, m, b, idx)[0])
+            for scheme in cfg.schemes:
+                yield (scheme, str(k), str(m), b_label(b), str(idx), seed)
+
+
+def _whole_trials(rows, cfg, points):
+    """How many whole trials start ``rows``, once they are checked to be a
+    prefix of this sweep's plan (a longer file is not)."""
+    got = [tuple(row[c] for c in TRIAL_COLUMNS[:6]) for row in rows]
+    if got != list(itertools.islice(_planned_keys(cfg, points), len(got))):
+        raise ValueError(
+            "existing trials.csv is not a prefix of this sweep's plan; "
+            "use a fresh output directory"
+        )
+    return len(rows) // len(cfg.schemes)
 
 
 # glibc mallopt parameters (malloc.h)
@@ -488,9 +529,13 @@ def _keep_freed_heap():
 def run_sweep(cfg, output_dir, workers=1, resume=False, preset=None):
     """Run the configured Cartesian sweep and write the dataset.
 
-    Output: ``trials.csv`` (one row per trial per scheme, flushed
-    incrementally in deterministic order), ``summary.csv`` (per-point
-    aggregates) and ``manifest.json``.  Returns the summary rows.
+    Output: ``trials.csv`` (one row per trial per scheme, in plan order,
+    flushed point by point, whatever the worker count), ``summary.csv``
+    (per-point aggregates) and ``manifest.json``.  Returns the summary rows.
+    With ``resume``, the whole trials of an existing ``trials.csv`` are kept
+    if it is a prefix of this sweep's plan (else ``ValueError``).  Failed
+    trials are listed in the manifest; once all three files are written, a
+    ``TrialError`` gives their count and the first message.
 
     Side effect: on glibc the calling process (and the pool workers it
     forks) keeps freed memory in its heap from then on instead of returning
@@ -505,66 +550,29 @@ def run_sweep(cfg, output_dir, workers=1, resume=False, preset=None):
     started = time.time()
 
     points = sweep_points(cfg)
-    existing_rows = []
-    if resume and trials_path.exists():
-        existing_rows = _read_existing_rows(trials_path)
-        existing_rows = _trim_to_whole_trials(existing_rows, cfg, points)
-        with open(trials_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(TRIAL_COLUMNS) + "\n")
-            for row in existing_rows:
-                fh.write(format_row(row, TRIAL_COLUMNS))
-    done_keys = {_row_key(r) for r in existing_rows}
+    rows = _read_existing_rows(trials_path) if resume and trials_path.exists() else []
+    done = _whole_trials(rows, cfg, points)
+    kept = rows[: done * len(cfg.schemes)]
+    first_trials = [min(cfg.trials, max(0, done - i * cfg.trials))
+                    for i in range(len(points))]
 
-    tasks = []
-    for pt_idx, (m, b, k) in enumerate(points):
-        pending = [
-            i for i in range(cfg.trials)
-            if (SCHEME_SINGLE_RF, str(k), str(m), b_label(b), str(i)) not in done_keys
-        ]
-        tasks.append((pt_idx, m, b, k, pending))
+    failures = []
+    pool = contextlib.nullcontext()
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # a slow import
 
-    collected = {}
-    failures_by_point = {}
-    next_point = [0]
-
-    def _flush_ready(fh):
-        while next_point[0] < len(points) and next_point[0] in collected:
-            for row in collected.pop(next_point[0]):
-                fh.write(format_row(row, TRIAL_COLUMNS))
+        pool = ProcessPoolExecutor(workers)
+    with pool, open(trials_path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(TRIAL_COLUMNS) + "\n")
+        fh.writelines(format_row(row, TRIAL_COLUMNS) for row in kept)
+        point_map = pool.map if workers > 1 else map
+        for rows, point_failures in point_map(
+                _point_rows, itertools.repeat(cfg), *zip(*points), first_trials):
+            fh.writelines(format_row(row, TRIAL_COLUMNS) for row in rows)
             fh.flush()
-            next_point[0] += 1
+            failures.extend(point_failures)
 
-    mode = "a" if existing_rows else "w"
-    with open(trials_path, mode, encoding="utf-8", newline="") as fh:
-        if not existing_rows:
-            fh.write(",".join(TRIAL_COLUMNS) + "\n")
-        if workers <= 1:
-            for pt_idx, m, b, k, pending in tasks:
-                rows, failures = _point_rows(cfg, m, b, k, pending)
-                collected[pt_idx] = rows
-                failures_by_point[pt_idx] = failures
-                _flush_ready(fh)
-        else:
-            from concurrent.futures import ProcessPoolExecutor, as_completed
-
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = {
-                    pool.submit(_point_rows, cfg, m, b, k, pending): pt_idx
-                    for pt_idx, m, b, k, pending in tasks
-                }
-                for future in as_completed(futures):
-                    pt_idx = futures[future]
-                    rows, failures = future.result()
-                    collected[pt_idx] = rows
-                    failures_by_point[pt_idx] = failures
-                    _flush_ready(fh)
-    all_failures = [
-        msg for pt_idx in range(len(points))
-        for msg in failures_by_point.get(pt_idx, [])
-    ]
-
-    final_rows = _read_existing_rows(trials_path)
-    summary = summarize(final_rows, cfg)
+    summary = summarize(_read_existing_rows(trials_path), cfg)
     with open(out / SUMMARY_CSV, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(SUMMARY_COLUMNS) + "\n")
         for row in summary:
@@ -575,7 +583,7 @@ def run_sweep(cfg, output_dir, workers=1, resume=False, preset=None):
         "preset": preset,
         "package_version": __version__,
         "workers": workers,
-        "resumed": bool(existing_rows),
+        "resumed": bool(kept),
         "started_utc": _dt.datetime.fromtimestamp(
             started, _dt.timezone.utc
         ).isoformat(),
@@ -584,35 +592,17 @@ def run_sweep(cfg, output_dir, workers=1, resume=False, preset=None):
             {"M": m, "B": b_label(b), "K": k, "trials": cfg.trials}
             for m, b, k in points
         ],
-        "failures": all_failures,
+        "failures": failures,
         "files": {"trials": TRIALS_CSV, "summary": SUMMARY_CSV},
     }
     with open(out / MANIFEST_JSON, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
 
-    for failure in all_failures:
-        print(f"warning: {failure}", file=sys.stderr)
+    if failures:
+        raise TrialError(f"{len(failures)} trial(s) failed, listed in "
+                         f"{MANIFEST_JSON}; the first: {failures[0]}")
     return summary
-
-
-def _trim_to_whole_trials(existing_rows, cfg, points):
-    """Validate a resumed file as a plan prefix and drop a half-written trial."""
-    planned = []
-    for m, b, k in points:
-        for idx in range(cfg.trials):
-            seed = derive_trial_streams(cfg.master_seed, k, m, b, idx)[0]
-            for scheme in cfg.schemes:
-                planned.append(((scheme, str(k), str(m), b_label(b), str(idx)),
-                                str(seed)))
-    got = [(_row_key(r), r["trial_seed"]) for r in existing_rows]
-    if got != planned[: len(got)]:
-        raise ValueError(
-            "existing trials.csv is not a prefix of this sweep's plan; "
-            "use a fresh output directory"
-        )
-    whole = (len(got) // len(cfg.schemes)) * len(cfg.schemes)
-    return existing_rows[:whole]
 
 
 def summarize(rows, cfg):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import ristx.harness
 from ristx.cli import main
 from ristx.harness import SUMMARY_CSV, TRIALS_CSV, MANIFEST_JSON, SimConfig
 
@@ -74,6 +75,8 @@ class TestValidateConfig:
             ({"k_list": [None]}, "k_list", "None is not a positive whole number"),
             ({"max_iterations": 1.5}, "max_iterations", "1.5 is not a positive whole number"),
             ({"step_scale": float("nan")}, "step_scale", "nan is not a real in (0, 1)"),
+            ({"feed_beamwidth_deg": 60}, "feed_beamwidth_deg",
+             "leaves the M=64 surface partly unlit"),
         ],
         ids=["m_list-scalar", "b_list-scalar", "schemes-string", "b_list-fraction",
              "b_list-bool", "trials-fraction", "master_seed-bool", "m_list-bool",
@@ -81,7 +84,7 @@ class TestValidateConfig:
              "feed_distance-inf", "change_threshold-inf", "trials-string",
              "num_intervals-string", "feed_power-string", "zeta_db-string",
              "m_list-string", "k_list-null", "max_iterations-fraction",
-             "step_scale-nan"],
+             "step_scale-nan", "feed_beamwidth_deg-unlit"],
     )
     def test_mistyped_list_field_named(self, tmp_path, capsys, data, field, message):
         path = write_config(tmp_path, data)
@@ -89,6 +92,11 @@ class TestValidateConfig:
         err = capsys.readouterr().err
         assert f"config field '{field}'" in err and message in err
         assert "Traceback" not in err
+
+    def test_duplicate_scheme_named(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"schemes": ["single_rf", "single_rf"]})
+        assert main(["validate-config", path]) == 2
+        assert "config field 'schemes'" in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate-config", str(tmp_path / "nope.json")]) == 2
@@ -180,6 +188,27 @@ class TestSweep:
             outputs.append([(out / name).read_bytes() for name in (TRIALS_CSV, SUMMARY_CSV)])
         assert outputs[1] == outputs[0]
         assert outputs[0][0].count(b"\n") == 1 + 2 * 2  # header, 2 trials x 2 schemes
+
+    def test_failed_trial_exits_1_with_dataset(self, tmp_path, capsys, monkeypatch):
+        real = ristx.harness.derive_trial_streams
+
+        def streams(master_seed, num_users, num_elements, b, trial_index):
+            if trial_index == 0:
+                raise FloatingPointError("injected")
+            return real(master_seed, num_users, num_elements, b, trial_index)
+
+        monkeypatch.setattr(ristx.harness, "derive_trial_streams", streams)
+        path = write_config(tmp_path, tiny_config_dict())
+        out = tmp_path / "out"
+        assert main(["sweep", path, "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "1 trial(s) failed" in err and "injected" in err
+        rows = (out / TRIALS_CSV).read_text().splitlines()[1:]
+        assert [row.split(",")[:5] for row in rows] == [
+            ["single_rf", "2", "4", "2", "1"], ["mf_digital", "2", "4", "2", "1"]]
+        manifest = json.loads((out / MANIFEST_JSON).read_text())
+        assert len(manifest["failures"]) == 1
+        assert "trial_index=0: injected" in manifest["failures"][0]
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         cfg = tiny_config_dict()

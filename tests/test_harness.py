@@ -74,6 +74,8 @@ class TestConfig:
             ("shadow_std_db", -1.0),
             ("path_loss_exponent", 0.0),
             ("trials", 2.5),
+            ("schemes", ("single_rf", "single_rf")),
+            ("feed_beamwidth_deg", 60.0),
         ],
     )
     def test_invalid_fields_name_the_field(self, field, value):
@@ -93,6 +95,16 @@ class TestConfig:
             assert err.field == field
         else:
             assert cfg.validate() == cfg
+
+    def test_schemes_stored_in_trial_order(self):
+        cfg = SimConfig(schemes=("mf_digital", "single_rf")).validate()
+        assert cfg.schemes == ("single_rf", "mf_digital")
+
+    def test_unlit_surface_names_its_size(self):
+        # a 60 degree beam misses the corner elements of every default size
+        with pytest.raises(ConfigError, match="M=64") as err:
+            SimConfig(feed_beamwidth_deg=60.0).validate()
+        assert err.value.field == "feed_beamwidth_deg"
 
     def test_whole_floats_become_ints(self):
         cfg = SimConfig.from_dict({"m_list": [4.0], "k_list": [2.0], "b_list": [2.0],
@@ -246,19 +258,42 @@ class TestSweep:
         assert (tmp_path / "a" / TRIALS_CSV).read_bytes() == \
             (tmp_path / "b" / TRIALS_CSV).read_bytes()
 
-    def test_resume_completes_identically(self, tmp_path):
+    # tiny_config plans 4 points x 3 trials x 2 schemes: 24 rows after the
+    # header.  A cut keeps this many lines, header included.
+    @pytest.mark.parametrize(
+        "workers,cut",
+        [(w, cut) for w in (1, 2) for cut in (1, 8, 15, 25)],
+        ids=[f"{w}-{name}" for w in (1, 2)
+             for name in ("header", "mid-trial", "later-point", "complete")],
+    )
+    def test_resume_completes_identically(self, tmp_path, workers, cut):
         cfg = tiny_config()
         run_sweep(cfg, tmp_path / "full")
         full = (tmp_path / "full" / TRIALS_CSV).read_text()
         lines = full.strip().split("\n")
-        # cut mid-trial (odd row count) to exercise half-trial trimming
+        assert len(lines) == 25
         partial_dir = tmp_path / "partial"
         partial_dir.mkdir()
-        (partial_dir / TRIALS_CSV).write_text("\n".join(lines[:8]) + "\n")
-        run_sweep(cfg, partial_dir, resume=True)
+        (partial_dir / TRIALS_CSV).write_text("\n".join(lines[:cut]) + "\n")
+        run_sweep(cfg, partial_dir, workers=workers, resume=True)
         assert (partial_dir / TRIALS_CSV).read_text() == full
         assert (partial_dir / SUMMARY_CSV).read_bytes() == \
             (tmp_path / "full" / SUMMARY_CSV).read_bytes()
+
+    def test_resume_with_schemes_listed_out_of_order(self, tmp_path):
+        cfg = tiny_config(schemes=("mf_digital", "single_rf"))
+        run_sweep(cfg, tmp_path / "full")
+        full = (tmp_path / "full" / TRIALS_CSV).read_text()
+        partial_dir = tmp_path / "partial"
+        partial_dir.mkdir()
+        (partial_dir / TRIALS_CSV).write_text("\n".join(full.split("\n")[:4]) + "\n")
+        run_sweep(cfg, partial_dir, resume=True)
+        assert (partial_dir / TRIALS_CSV).read_text() == full
+        trial_schemes = [line.split(",")[0] for line in full.strip().split("\n")[1:]]
+        summary = (partial_dir / SUMMARY_CSV).read_text().strip().split("\n")[1:]
+        summary_schemes = [line.split(",")[0] for line in summary]
+        assert trial_schemes[:2] == summary_schemes[:2] == ["single_rf", "mf_digital"]
+        assert summary_schemes == summary_schemes[:2] * 4
 
     def test_resume_rejects_foreign_prefix(self, tmp_path):
         cfg = tiny_config()
@@ -266,6 +301,35 @@ class TestSweep:
         other = tiny_config(master_seed=100)
         with pytest.raises(ValueError, match="not a prefix"):
             run_sweep(other, tmp_path / "out", resume=True)
+
+    def test_resume_rejects_longer_than_plan(self, tmp_path):
+        # b_list (1,) plans exactly the first half of the (1, None) rows
+        run_sweep(tiny_config(), tmp_path / "out")
+        with pytest.raises(ValueError, match="not a prefix"):
+            run_sweep(tiny_config(b_list=(1,)), tmp_path / "out", resume=True)
+
+    def test_failed_trial_fails_the_sweep_after_writing(self, tmp_path, monkeypatch):
+        cfg = tiny_config()
+        run_sweep(cfg, tmp_path / "clean")
+
+        def streams(master_seed, num_users, num_elements, b, trial_index):
+            if (num_users, b, trial_index) == (3, None, 1):
+                raise FloatingPointError("injected")
+            return derive_trial_streams(master_seed, num_users, num_elements, b,
+                                        trial_index)
+
+        monkeypatch.setattr("ristx.harness.derive_trial_streams", streams)
+        with pytest.raises(TrialError, match=r"^1 trial\(s\) failed.*injected"):
+            run_sweep(cfg, tmp_path / "out")
+        clean = (tmp_path / "clean" / TRIALS_CSV).read_text().splitlines()
+        assert (tmp_path / "out" / TRIALS_CSV).read_text().splitlines() == [
+            line for line in clean if not line.split(",")[1:5] == ["3", "4", "inf", "1"]
+        ]
+        manifest = json.loads((tmp_path / "out" / MANIFEST_JSON).read_text())
+        assert len(manifest["failures"]) == 1
+        assert "K=3 M=4 B=inf trial_index=1: injected" in manifest["failures"][0]
+        summary = (tmp_path / "out" / SUMMARY_CSV).read_text().splitlines()
+        assert [line.split(",")[4] for line in summary[1:]] == ["3"] * 6 + ["2"] * 2
 
     def test_summary_values_match_trials(self, tmp_path):
         cfg = tiny_config(b_list=(2,), k_list=(2,), trials=4, schemes=("single_rf",))
