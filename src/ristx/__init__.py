@@ -4,19 +4,15 @@ __version__ = "0.1.0"
 
 from .channel import (  # noqa: F401
     Cell,
-    UserLargeScale,
+    Users,
     assemble_channel,
     compensating_gains,
     draw_fading,
     draw_users,
-    large_scale_gains,
 )
 from .geometry import (  # noqa: F401
-    ElementGrid,
-    FeedPattern,
     SurfaceModel,
     layout_elements,
-    pattern_gain,
     propagation_coeffs,
     wrap_phase,
 )

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import large_scale_gains
 from .errors import DegenerateDirectionError
 
 
@@ -34,8 +33,8 @@ def mf_precode_block(channel_matrix, symbol_block, target_powers):
     return directions * scale[None, :], scale
 
 
-def mf_post_gains(large_scale, num_elements, mean_scale):
+def mf_post_gains(users, num_elements, mean_scale):
     """Receive gains 1 / (mean_scale * M * pathgain_k) for the benchmark."""
     if not mean_scale > 0.0:
         raise ValueError("mean_scale must be positive")
-    return 1.0 / (mean_scale * num_elements * large_scale_gains(large_scale))
+    return 1.0 / (mean_scale * num_elements * users.path_gain)

@@ -23,17 +23,12 @@ class Cell:
 
 
 @dataclass(frozen=True)
-class UserLargeScale:
-    """Large-scale state of one user."""
+class Users:
+    """Large-scale state of the K users of one channel realization."""
 
-    distance: float   # meters
-    shadowing: float  # linear-scale log-normal draw, > 0
-    path_gain: float  # shadowing / (distance / r_min)**exponent
-
-
-def large_scale_gains(users):
-    """Linear power gains shadowing / r_norm**exponent, one per user."""
-    return np.array([u.path_gain for u in users])
+    distance: np.ndarray   # (K,) meters
+    shadowing: np.ndarray  # (K,) linear-scale log-normal draws, > 0
+    path_gain: np.ndarray  # (K,) shadowing / (distance / r_min)**exponent
 
 
 def draw_users(num_users, cell, rng):
@@ -49,14 +44,13 @@ def draw_users(num_users, cell, rng):
     distance = np.sqrt(cell.r_min**2 + u * (cell.r_max**2 - cell.r_min**2))
     shadow_db = rng.normal(0.0, cell.shadow_std_db, num_users)
     shadowing = 10.0 ** (shadow_db / 10.0)
-    return [
-        UserLargeScale(
-            distance=float(d),
-            shadowing=float(s),
-            path_gain=float(s) / float(d / cell.r_min) ** cell.path_loss_exponent,
-        )
-        for d, s in zip(distance, shadowing)
-    ]
+    # Python's float power, one user at a time: numpy's vectorised ``**``
+    # may round the last bit differently, which would change the datasets.
+    path_gain = np.array([
+        s / (d / cell.r_min) ** cell.path_loss_exponent
+        for d, s in zip(distance.tolist(), shadowing.tolist())
+    ])
+    return Users(distance, shadowing, path_gain)
 
 
 def draw_fading(num_users, num_elements, rng):
@@ -69,20 +63,19 @@ def draw_fading(num_users, num_elements, rng):
     return (re + 1j * im) / np.sqrt(2.0)
 
 
-def assemble_channel(large_scale, fading):
+def assemble_channel(users, fading):
     """(K, M) channel: fading rows scaled by sqrt(shadowing / r_norm**exponent)."""
     fading = np.asarray(fading)
-    if fading.ndim != 2 or fading.shape[0] != len(large_scale):
-        raise ValueError(
-            f"fading shape {fading.shape} does not match {len(large_scale)} users"
-        )
-    return np.sqrt(large_scale_gains(large_scale))[:, None] * fading
+    num_users = users.path_gain.shape[0]
+    if fading.ndim != 2 or fading.shape[0] != num_users:
+        raise ValueError(f"fading shape {fading.shape} does not match {num_users} users")
+    return np.sqrt(users.path_gain)[:, None] * fading
 
 
-def compensating_gains(large_scale):
+def compensating_gains(users):
     """Receive gains, shape (K,), that cancel path loss and shadowing exactly.
 
     Applying these to the assembled channel recovers the pure fading matrix,
     so the single-RF distortion becomes invariant to the large-scale draw.
     """
-    return 1.0 / np.sqrt(large_scale_gains(large_scale))
+    return 1.0 / np.sqrt(users.path_gain)

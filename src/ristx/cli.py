@@ -31,6 +31,19 @@ def _load_config(path):
     return SimConfig.from_dict(data)
 
 
+def _int_at_least(minimum):
+    """An argparse type: a whole number no smaller than ``minimum``."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    return parse
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="ristx",
@@ -45,7 +58,7 @@ def _build_parser():
     sweep.add_argument("-o", "--output", required=True, help="output directory")
     sweep.add_argument("--seed", type=int, help="override the master seed")
     sweep.add_argument("--trials", type=int, help="override trials per point")
-    sweep.add_argument("--workers", type=int, default=1,
+    sweep.add_argument("--workers", type=_int_at_least(1), default=1,
                        help="worker processes (default 1)")
     sweep.add_argument("--resume", action="store_true",
                        help="continue an interrupted sweep in the same directory")
@@ -56,7 +69,7 @@ def _build_parser():
     trial.add_argument("-B", required=True,
                        help="phase bits, or 'continuous' / 'inf'")
     trial.add_argument("--seed", type=int, default=12345, help="master seed")
-    trial.add_argument("--trial-index", type=int, default=0)
+    trial.add_argument("--trial-index", type=_int_at_least(0), default=0)
     trial.add_argument("-N", "--intervals", type=int, default=None,
                        help="override block length N")
     trial.add_argument("--with-baseline", action="store_true",
@@ -77,28 +90,19 @@ def _cmd_sweep(args):
     if not args.preset and not args.config:
         print("error: a config file or --preset is required", file=sys.stderr)
         return USAGE_EXIT
-    try:
-        if args.preset:
-            cfg = preset_config(args.preset, trials=args.trials,
-                                master_seed=args.seed)
-        else:
-            cfg = _load_config(args.config)
-            overrides = {}
-            if args.trials is not None:
-                overrides["trials"] = args.trials
-            if args.seed is not None:
-                overrides["master_seed"] = args.seed
-            if overrides:
-                cfg = SimConfig.from_dict(cfg.to_dict() | overrides)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return USAGE_EXIT
-    try:
-        run_sweep(cfg, args.output, workers=max(1, args.workers),
-                  resume=args.resume, preset=args.preset)
-    except Exception as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    if args.preset:
+        cfg = preset_config(args.preset, trials=args.trials, master_seed=args.seed)
+    else:
+        cfg = _load_config(args.config)
+        overrides = {}
+        if args.trials is not None:
+            overrides["trials"] = args.trials
+        if args.seed is not None:
+            overrides["master_seed"] = args.seed
+        if overrides:
+            cfg = SimConfig.from_dict(cfg.to_dict() | overrides)
+    run_sweep(cfg, args.output, workers=args.workers, resume=args.resume,
+              preset=args.preset)
     return 0
 
 
@@ -109,49 +113,43 @@ def _cmd_trial(args):
         data["num_intervals"] = args.intervals
     if not args.with_baseline:
         data["schemes"] = ["single_rf"]
-    try:
-        cfg = SimConfig.from_dict(data)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return USAGE_EXIT
+    cfg = SimConfig.from_dict(data)
     (b,) = cfg.b_list
-    try:
-        if args.json:
-            _, record = run_trial(cfg, args.K, args.M, b, args.trial_index,
-                                  with_record=True)
-            json.dump(record, sys.stdout, indent=2)
-            sys.stdout.write("\n")
-        else:
-            rows = trial_rows(cfg, args.K, args.M, b, args.trial_index)
-            sys.stdout.write(",".join(TRIAL_COLUMNS) + "\n")
-            for row in rows:
-                sys.stdout.write(format_row(row, TRIAL_COLUMNS))
-    except Exception as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    if args.json:
+        _, record = run_trial(cfg, args.K, args.M, b, args.trial_index,
+                              with_record=True)
+        json.dump(record, sys.stdout, indent=2)
+        sys.stdout.write("\n")
+    else:
+        rows = trial_rows(cfg, args.K, args.M, b, args.trial_index)
+        sys.stdout.write(",".join(TRIAL_COLUMNS) + "\n")
+        for row in rows:
+            sys.stdout.write(format_row(row, TRIAL_COLUMNS))
     return 0
 
 
 def _cmd_validate(args):
-    try:
-        cfg = _load_config(args.config)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return USAGE_EXIT
+    cfg = _load_config(args.config)
     points = len(cfg.m_list) * len(cfg.b_list) * len(cfg.k_list)
     print(f"ok: {points} sweep points x {cfg.trials} trials, "
           f"schemes={','.join(cfg.schemes)}")
     return 0
 
 
+_COMMANDS = {"sweep": _cmd_sweep, "trial": _cmd_trial, "validate-config": _cmd_validate}
+
+
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    if args.command == "trial":
-        return _cmd_trial(args)
-    return _cmd_validate(args)
+    """Run one command; a config error exits 2, any other error 1."""
+    args = _build_parser().parse_args(argv)
+    try:
+        return _COMMANDS[args.command](args)
+    except ConfigError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return USAGE_EXIT
+    except Exception as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

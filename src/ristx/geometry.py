@@ -4,6 +4,11 @@ The feed sits at the origin with its zenith along +z; boresight points along
 +x toward the surface center, so broadside illumination corresponds to an
 elevation angle of pi/2.  The surface is a vertical sqrt(M) x sqrt(M) grid of
 pitch ``wavelength`` (element cells tile a sqrt(M)*lambda square).
+
+The feed pattern is an ideal sector: constant gain inside an elevation band
+of full width ``beamwidth`` around broadside, the same at every azimuth, and
+zero outside.  The in-band gain 1 / sin(beamwidth / 2) normalizes the total
+radiated power, i.e. the pattern integrates to 4*pi over the sphere.
 """
 
 from __future__ import annotations
@@ -21,77 +26,14 @@ def wrap_phase(x):
     return np.mod(np.asarray(x, dtype=float) + np.pi, 2.0 * np.pi) - np.pi
 
 
-@dataclass(frozen=True)
-class FeedPattern:
-    """Ideal-sector radiation pattern of the RF feed.
-
-    Constant gain inside an elevation band around broadside, horizontally
-    omnidirectional, zero outside.
-
-    Attributes:
-        vertical_beamwidth: full elevation beamwidth in radians, in (0, pi].
-        peak_gain: in-band gain.  The default normalizes total radiated
-            power, i.e. the pattern integrates to 4*pi over the sphere:
-            peak = 4*pi / (band solid angle) = 1 / sin(beamwidth / 2).
-    """
-
-    vertical_beamwidth: float
-    peak_gain: float
-
-    def __post_init__(self):
-        if not 0.0 < self.vertical_beamwidth <= np.pi:
-            raise ValueError("vertical_beamwidth must be in (0, pi]")
-        if not self.peak_gain > 0.0:
-            raise ValueError("peak_gain must be positive")
-
-    @classmethod
-    def ideal_sector(cls, vertical_beamwidth, peak_gain=None):
-        """Build an ideal-sector pattern; peak_gain defaults to the 4*pi norm."""
-        if peak_gain is None:
-            if not 0.0 < vertical_beamwidth <= np.pi:
-                raise ValueError("vertical_beamwidth must be in (0, pi]")
-            peak_gain = 1.0 / math.sin(vertical_beamwidth / 2.0)
-        return cls(float(vertical_beamwidth), float(peak_gain))
-
-
-def pattern_gain(pattern, theta, phi):
-    """Feed gain toward elevation ``theta`` (from zenith) and azimuth ``phi``.
-
-    theta must lie in [0, pi] and phi in [-pi, pi); either may be an array.
-    The ideal sector returns ``peak_gain`` for |theta - pi/2| <= beamwidth/2
-    and 0 outside, independent of phi.
-    """
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    if np.any(theta < 0.0) or np.any(theta > np.pi):
-        raise ValueError("theta out of range [0, pi]")
-    if np.any(phi < -np.pi) or np.any(phi >= np.pi):
-        raise ValueError("phi out of range [-pi, pi)")
-    inside = np.abs(theta - np.pi / 2.0) <= pattern.vertical_beamwidth / 2.0
-    gain = np.where(inside, pattern.peak_gain, 0.0)
-    if gain.ndim == 0:
-        return float(gain)
-    return gain
-
-
-@dataclass(frozen=True)
-class ElementGrid:
-    """Surface element positions in spherical coordinates about the feed."""
-
-    num_elements: int
-    wavelength: float
-    feed_distance: float
-    radius: np.ndarray  # (M,) element distances from the feed, meters
-    theta: np.ndarray   # (M,) elevation from feed zenith, radians
-    phi: np.ndarray     # (M,) azimuth, radians
-
-
 def layout_elements(num_elements, wavelength, feed_distance):
     """Lay out a sqrt(M) x sqrt(M) grid of pitch ``wavelength``.
 
     The grid is centered on the boresight axis through the feed at distance
     ``feed_distance``.  Elements are enumerated row-major, vertical index
-    outer.  Deterministic.
+    outer.  Returns ``(radius, theta)``, each of shape (M,): the element
+    distances from the feed in meters and their elevations from the feed
+    zenith in radians.  Deterministic.
     """
     m = int(num_elements)
     if m < 1 or m != num_elements:
@@ -109,9 +51,7 @@ def layout_elements(num_elements, wavelength, feed_distance):
     vert = vert.ravel()
     horiz = horiz.ravel()
     radius = np.sqrt(feed_distance**2 + horiz**2 + vert**2)
-    theta = np.arccos(vert / radius)
-    phi = np.arctan2(horiz, feed_distance)
-    return ElementGrid(m, float(wavelength), float(feed_distance), radius, theta, phi)
+    return radius, np.arccos(vert / radius)
 
 
 @dataclass(frozen=True)
@@ -124,48 +64,35 @@ class SurfaceModel:
 
     attenuation: np.ndarray
     phase: np.ndarray
-    efficiency: float
-    wavelength: float
-    feed_distance: float
-
-    @property
-    def num_elements(self):
-        return self.attenuation.shape[0]
 
     def complex_coeffs(self):
         """Diagonal of the propagation matrix as a complex vector."""
         return self.attenuation * np.exp(1j * self.phase)
 
-    def to_record(self):
-        """JSON-serializable form used in trial records."""
-        return {
-            "M": int(self.num_elements),
-            "lambda_m": self.wavelength,
-            "R_d_m": self.feed_distance,
-            "zeta": self.efficiency,
-            "T": self.attenuation.tolist(),
-            "omega": self.phase.tolist(),
-        }
 
+def propagation_coeffs(num_elements, wavelength, feed_distance, beamwidth, efficiency):
+    """Attenuation and propagation phase of every element of the surface
+    laid out by ``layout_elements`` under the ideal-sector feed.
 
-def propagation_coeffs(grid, pattern, efficiency):
-    """Attenuation and propagation phase for every element of ``grid``.
-
-    Amplitude: wavelength * sqrt(efficiency * gain) / (4*pi*r); phase:
-    -2*pi*r/wavelength wrapped to [-pi, pi).  Raises
-    UnilluminatedElementError if any element sees zero feed gain.
+    Amplitude: wavelength * sqrt(efficiency * gain) / (4*pi*r) with the
+    in-band gain 1 / sin(beamwidth / 2); phase: -2*pi*r/wavelength wrapped
+    to [-pi, pi).  ``beamwidth`` is the full elevation beamwidth in radians,
+    in (0, pi].  Raises UnilluminatedElementError if any element lies
+    outside the beam.
     """
+    if not 0.0 < beamwidth <= np.pi:
+        raise ValueError("beamwidth must be in (0, pi]")
     if not 0.0 < efficiency <= 1.0:
         raise ValueError("efficiency must be in (0, 1]")
-    gain = np.asarray(pattern_gain(pattern, grid.theta, grid.phi))
-    if np.any(gain <= 0.0):
-        bad = int(np.argmax(gain <= 0.0))
+    radius, theta = layout_elements(num_elements, wavelength, feed_distance)
+    outside = np.abs(theta - np.pi / 2.0) > beamwidth / 2.0
+    if np.any(outside):
+        bad = int(np.argmax(outside))
         raise UnilluminatedElementError(
             f"element {bad} lies outside the feed pattern "
-            f"(theta={grid.theta[bad]:.4f} rad)"
+            f"(theta={theta[bad]:.4f} rad)"
         )
-    attenuation = grid.wavelength * np.sqrt(efficiency * gain) / (4.0 * np.pi * grid.radius)
-    phase = wrap_phase(-2.0 * np.pi * grid.radius / grid.wavelength)
-    return SurfaceModel(
-        attenuation, phase, float(efficiency), grid.wavelength, grid.feed_distance
-    )
+    gain = 1.0 / math.sin(beamwidth / 2.0)
+    attenuation = wavelength * np.sqrt(efficiency * gain) / (4.0 * np.pi * radius)
+    phase = wrap_phase(-2.0 * np.pi * radius / wavelength)
+    return SurfaceModel(attenuation, phase)

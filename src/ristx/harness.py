@@ -32,7 +32,7 @@ from .channel import (
     draw_users,
 )
 from .errors import ConfigError, UnilluminatedElementError
-from .geometry import FeedPattern, layout_elements, propagation_coeffs
+from .geometry import propagation_coeffs
 from .metrics import (
     average_power,
     distortion,
@@ -54,6 +54,11 @@ MANIFEST_JSON = "manifest.json"
 # Largest bit depth a config may ask for: 2**16 phases, a 1.5 MiB codebook
 # (phase and unit tables).  Each further bit doubles the table per trial.
 MAX_CODEBOOK_BITS = 16
+
+# Largest shadowing spread a config may ask for.  Typical log-normal spreads
+# are 4-12 dB; far wider ones push path gains past the float range, and the
+# distortion of the matched-filter benchmark turns non-finite.
+MAX_SHADOW_STD_DB = 100
 
 TRIAL_COLUMNS = (
     "scheme", "K", "M", "B", "trial_index", "trial_seed",
@@ -248,10 +253,26 @@ def _unlit_surface(cfg):
     return None
 
 
+def _cell_edge_overflows(cfg):
+    """Why the cell edge overflows the float range, if it does: user
+    distances are drawn through r_max**2 and path gains through
+    (r / r_min)**path_loss_exponent."""
+    try:
+        fits = (math.isfinite(cfg.r_max ** 2) and math.isfinite(
+            (cfg.r_max / cfg.r_min) ** cfg.path_loss_exponent))
+    except OverflowError:
+        fits = False
+    return not fits and (
+        "is too large: r_max**2 or (r_max / r_min)**path_loss_exponent overflows")
+
+
 # (field, objection), checked in order once every field fits its row; an
 # objection returns what is wrong with the config, or a false value
 _RULES = (
     ("r_max", lambda c: c.r_max <= c.r_min and "must exceed r_min"),
+    ("r_max", _cell_edge_overflows),
+    ("shadow_std_db", lambda c: c.shadow_std_db > MAX_SHADOW_STD_DB and
+     f"must be at most {MAX_SHADOW_STD_DB} dB"),
     ("schemes", lambda c: SCHEME_SINGLE_RF not in c.schemes and
      "the single-RF scheme is required (the benchmark power-matches against it)"),
     ("schemes", lambda c: len(set(c.schemes)) < len(c.schemes) and
@@ -266,9 +287,10 @@ def b_label(b):
 
 def build_surface(cfg, num_elements):
     """Surface model for one size under the configured feed geometry."""
-    grid = layout_elements(num_elements, cfg.wavelength, cfg.feed_distance_for(num_elements))
-    pattern = FeedPattern.ideal_sector(math.radians(cfg.feed_beamwidth_deg))
-    return propagation_coeffs(grid, pattern, 10.0 ** (cfg.zeta_db / 10.0))
+    return propagation_coeffs(
+        num_elements, cfg.wavelength, cfg.feed_distance_for(num_elements),
+        math.radians(cfg.feed_beamwidth_deg), 10.0 ** (cfg.zeta_db / 10.0),
+    )
 
 
 def derive_trial_streams(master_seed, num_users, num_elements, b, trial_index):
@@ -381,11 +403,18 @@ def _run_trial(cfg, num_users, num_elements, b, trial_index, surface, with_recor
                 "r_h": cfg.r_min,
                 "r_max": cfg.r_max,
                 "users": [
-                    {"r_k": u.distance, "alpha_k_dB": 10.0 * math.log10(u.shadowing)}
-                    for u in users
+                    {"r_k": d, "alpha_k_dB": 10.0 * math.log10(s)}
+                    for d, s in zip(users.distance.tolist(), users.shadowing.tolist())
                 ],
             },
-            "surface": surface.to_record(),
+            "surface": {
+                "M": num_elements,
+                "lambda_m": cfg.wavelength,
+                "R_d_m": cfg.feed_distance_for(num_elements),
+                "zeta": 10.0 ** (cfg.zeta_db / 10.0),
+                "T": surface.attenuation.tolist(),
+                "omega": surface.phase.tolist(),
+            },
             "solver": {
                 "iterations": sol.iterations.tolist(),
                 "converged": sol.converged.tolist(),

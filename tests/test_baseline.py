@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ristx.baseline import mf_post_gains, mf_precode_block
-from ristx.channel import UserLargeScale
+from ristx.channel import Users
 from ristx.errors import DegenerateDirectionError
 from ristx.metrics import distortion
 
@@ -11,8 +11,11 @@ def crandn(rng, *shape):
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
 
 
-def user(shadowing=1.0, r_norm=1.0, nu=3.2):
-    return UserLargeScale(
+def users(shadowing=1.0, r_norm=1.0, count=1, nu=3.2):
+    # ``count`` users, each with the given (scalar or per-user) values
+    shadowing = np.broadcast_to(np.asarray(shadowing, dtype=float), (count,))
+    r_norm = np.broadcast_to(np.asarray(r_norm, dtype=float), (count,))
+    return Users(
         distance=100.0 * r_norm,
         shadowing=shadowing,
         path_gain=shadowing / r_norm**nu,
@@ -80,26 +83,26 @@ class TestPrecode:
 
 class TestPostGains:
     def test_unit_case(self):
-        g = mf_post_gains([user()], 1, 1.0)
+        g = mf_post_gains(users(), 1, 1.0)
         assert g[0] == 1.0
 
     def test_doubling_mean_scale_halves_gains(self):
-        users = [user(shadowing=2.0, r_norm=3.0), user()]
-        g1 = mf_post_gains(users, 16, 1.0)
-        g2 = mf_post_gains(users, 16, 2.0)
+        pair = users(shadowing=[2.0, 1.0], r_norm=[3.0, 1.0], count=2)
+        g1 = mf_post_gains(pair, 16, 1.0)
+        g2 = mf_post_gains(pair, 16, 2.0)
         assert np.array_equal(g2, g1 / 2.0)
 
     def test_nonpositive_mean_scale(self):
         with pytest.raises(ValueError):
-            mf_post_gains([user()], 4, 0.0)
+            mf_post_gains(users(), 4, 0.0)
 
     def test_single_user_expectation_recovers_symbol(self):
         # noise-free K=1: mean of G*y over fading draws and intervals tends
         # to the symbol itself (2% tolerance at 1e4 samples)
         rng = np.random.default_rng(3)
         m = 4
-        ls = [user(shadowing=2.0, r_norm=1.5)]
-        rho = ls[0].path_gain
+        ls = users(shadowing=2.0, r_norm=1.5)
+        rho = ls.path_gain[0]
         s = np.array([1.5 - 0.5j])
         draws = 2500
         intervals = 4
@@ -122,6 +125,6 @@ class TestPostGains:
         h = crandn(rng, 2, 6)
         s = crandn(rng, 2, 5)
         x, scales = mf_precode_block(h, s, np.full(5, 2.0))
-        g = mf_post_gains([user(), user()], 6, float(np.mean(scales)))
+        g = mf_post_gains(users(count=2), 6, float(np.mean(scales)))
         d = distortion(s, g, h, x)
         assert np.isfinite(d) and d >= 0.0

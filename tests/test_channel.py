@@ -3,12 +3,11 @@ import pytest
 
 from ristx.channel import (
     Cell,
-    UserLargeScale,
+    Users,
     assemble_channel,
     compensating_gains,
     draw_fading,
     draw_users,
-    large_scale_gains,
 )
 
 
@@ -18,8 +17,11 @@ def make_cell(**kw):
     return Cell(**base)
 
 
-def user(shadowing=1.0, r_norm=1.0, nu=3.2, r_ref=100.0):
-    return UserLargeScale(
+def users(shadowing=1.0, r_norm=1.0, count=1, nu=3.2, r_ref=100.0):
+    # ``count`` users, each with the given (scalar or per-user) values
+    shadowing = np.broadcast_to(np.asarray(shadowing, dtype=float), (count,))
+    r_norm = np.broadcast_to(np.asarray(r_norm, dtype=float), (count,))
+    return Users(
         distance=r_norm * r_ref,
         shadowing=shadowing,
         path_gain=shadowing / r_norm**nu,
@@ -28,24 +30,21 @@ def user(shadowing=1.0, r_norm=1.0, nu=3.2, r_ref=100.0):
 
 class TestDrawUsers:
     def test_zero_shadow_std_gives_unit_shadowing(self):
-        users = draw_users(50, make_cell(shadow_std_db=0.0), np.random.default_rng(0))
-        assert all(u.shadowing == 1.0 for u in users)
+        drawn = draw_users(50, make_cell(shadow_std_db=0.0), np.random.default_rng(0))
+        assert np.all(drawn.shadowing == 1.0)
 
     def test_degenerate_annulus(self):
         cell = make_cell(r_max=100.0 + 1e-9)
-        users = draw_users(100, cell, np.random.default_rng(1))
-        assert all(abs(u.distance / cell.r_min - 1.0) < 1e-10 for u in users)
-        gains = large_scale_gains(users)
-        shadow = np.array([u.shadowing for u in users])
-        assert np.allclose(gains, shadow, rtol=1e-9)
+        drawn = draw_users(100, cell, np.random.default_rng(1))
+        assert np.all(np.abs(drawn.distance / cell.r_min - 1.0) < 1e-10)
+        assert np.allclose(drawn.path_gain, drawn.shadowing, rtol=1e-9)
 
     def test_distance_cdf_kolmogorov_smirnov(self):
         # oracle: analytic CDF of the uniform-area density on the annulus,
         # F(r) = (r^2 - r_min^2) / (r_max^2 - r_min^2); 1% significance
         n = 10_000
         cell = make_cell()
-        users = draw_users(n, cell, np.random.default_rng(2))
-        r = np.sort([u.distance for u in users])
+        r = np.sort(draw_users(n, cell, np.random.default_rng(2)).distance)
         cdf = (r**2 - cell.r_min**2) / (cell.r_max**2 - cell.r_min**2)
         empirical_hi = np.arange(1, n + 1) / n
         empirical_lo = np.arange(0, n) / n
@@ -54,8 +53,8 @@ class TestDrawUsers:
         assert r.min() >= cell.r_min and r.max() <= cell.r_max
 
     def test_shadowing_std_at_corpus_level(self):
-        users = draw_users(10_000, make_cell(), np.random.default_rng(3))
-        db = 10.0 * np.log10([u.shadowing for u in users])
+        drawn = draw_users(10_000, make_cell(), np.random.default_rng(3))
+        db = 10.0 * np.log10(drawn.shadowing)
         assert abs(np.mean(db)) < 0.2
         assert abs(np.std(db) - 5.0) < 0.15
 
@@ -66,8 +65,9 @@ class TestDrawUsers:
     def test_deterministic_given_seed(self):
         a = draw_users(5, make_cell(), np.random.default_rng(42))
         b = draw_users(5, make_cell(), np.random.default_rng(42))
-        assert [u.distance for u in a] == [u.distance for u in b]
-        assert [u.shadowing for u in a] == [u.shadowing for u in b]
+        assert np.array_equal(a.distance, b.distance)
+        assert np.array_equal(a.shadowing, b.shadowing)
+        assert np.array_equal(a.path_gain, b.path_gain)
 
 
 class TestDrawFading:
@@ -98,45 +98,45 @@ class TestDrawFading:
 class TestAssemble:
     def test_unit_large_scale_keeps_fading(self):
         fading = draw_fading(3, 5, np.random.default_rng(6))
-        chan = assemble_channel([user(), user(), user()], fading)
+        chan = assemble_channel(users(count=3), fading)
         assert np.array_equal(chan, fading)
 
     def test_path_loss_row_scaling(self):
         fading = draw_fading(1, 6, np.random.default_rng(7))
-        chan = assemble_channel([user(r_norm=2.0)], fading)
+        chan = assemble_channel(users(r_norm=2.0), fading)
         assert np.allclose(chan, 2.0 ** (-1.6) * fading, rtol=1e-14)
         assert 2.0 ** (-1.6) == pytest.approx(0.3299, abs=1e-4)
 
     def test_shadow_row_scaling(self):
         fading = draw_fading(1, 6, np.random.default_rng(8))
-        chan = assemble_channel([user(shadowing=4.0)], fading)
+        chan = assemble_channel(users(shadowing=4.0), fading)
         assert np.array_equal(chan, 2.0 * fading)
 
     def test_dimension_mismatch(self):
         fading = draw_fading(2, 3, np.random.default_rng(9))
         with pytest.raises(ValueError):
-            assemble_channel([user()], fading)
+            assemble_channel(users(), fading)
         with pytest.raises(ValueError):
-            assemble_channel([user(), user()], fading[0])
+            assemble_channel(users(count=2), fading[0])
 
 
 class TestCompensatingGains:
     def test_unit_case(self):
-        assert compensating_gains([user()])[0] == 1.0
+        assert compensating_gains(users())[0] == 1.0
 
     def test_quarter_shadowing(self):
-        assert compensating_gains([user(shadowing=0.25)])[0] == 2.0
+        assert compensating_gains(users(shadowing=0.25))[0] == 2.0
 
     def test_cancellation_identity(self):
         rng = np.random.default_rng(10)
-        users = draw_users(6, make_cell(), rng)
+        drawn = draw_users(6, make_cell(), rng)
         fading = draw_fading(6, 32, rng)
-        chan = assemble_channel(users, fading)
-        g = compensating_gains(users)
+        chan = assemble_channel(drawn, fading)
+        g = compensating_gains(drawn)
         recovered = g[:, None] * chan
         rel = np.abs(recovered - fading) / np.abs(fading)
         assert rel.max() < 1e-15
 
     def test_frobenius(self):
-        g = compensating_gains([user(shadowing=0.25), user()])
+        g = compensating_gains(users(shadowing=[0.25, 1.0], count=2))
         assert np.sum(np.abs(g) ** 2) == pytest.approx(5.0)

@@ -77,6 +77,10 @@ class TestValidateConfig:
             ({"step_scale": float("nan")}, "step_scale", "nan is not a real in (0, 1)"),
             ({"feed_beamwidth_deg": 60}, "feed_beamwidth_deg",
              "leaves the M=64 surface partly unlit"),
+            ({"r_max": 1e100}, "r_max", "is too large"),
+            ({"r_max": 1e200}, "r_max", "is too large"),
+            ({"shadow_std_db": 1e5}, "shadow_std_db", "must be at most 100 dB"),
+            ({"shadow_std_db": 800}, "shadow_std_db", "must be at most 100 dB"),
         ],
         ids=["m_list-scalar", "b_list-scalar", "schemes-string", "b_list-fraction",
              "b_list-bool", "trials-fraction", "master_seed-bool", "m_list-bool",
@@ -84,7 +88,8 @@ class TestValidateConfig:
              "feed_distance-inf", "change_threshold-inf", "trials-string",
              "num_intervals-string", "feed_power-string", "zeta_db-string",
              "m_list-string", "k_list-null", "max_iterations-fraction",
-             "step_scale-nan", "feed_beamwidth_deg-unlit"],
+             "step_scale-nan", "feed_beamwidth_deg-unlit", "r_max-1e100",
+             "r_max-1e200", "shadow_std_db-1e5", "shadow_std_db-800"],
     )
     def test_mistyped_list_field_named(self, tmp_path, capsys, data, field, message):
         path = write_config(tmp_path, data)
@@ -228,3 +233,19 @@ class TestUsage:
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["trial", "-K", "2", "-M", "4", "-B", "1", "--trial-index", "-1"],
+             "--trial-index"),
+            (["sweep", "--preset", "fig4", "-o", "out", "--workers", "0"], "--workers"),
+            (["sweep", "--preset", "fig4", "-o", "out", "--workers", "-3"], "--workers"),
+        ],
+        ids=["trial-index-negative", "workers-zero", "workers-negative"],
+    )
+    def test_out_of_range_count_flag_exits_2(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert flag in capsys.readouterr().err

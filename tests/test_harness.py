@@ -76,6 +76,10 @@ class TestConfig:
             ("trials", 2.5),
             ("schemes", ("single_rf", "single_rf")),
             ("feed_beamwidth_deg", 60.0),
+            ("r_max", 1e100),
+            ("r_max", 1e200),
+            ("shadow_std_db", 1e5),
+            ("shadow_std_db", 800.0),
         ],
     )
     def test_invalid_fields_name_the_field(self, field, value):
@@ -216,6 +220,19 @@ class TestRunTrial:
         assert len(record["solver"]["iterations"]) == cfg.num_intervals
         assert record["received_mse_mean"] >= 0.0
         json.dumps(record)  # must be serializable as-is
+
+    def test_record_surface_echoes_config(self):
+        cfg = tiny_config(feed_distance=0.05, zeta_db=-3.0)
+        _, record = run_trial(cfg, 2, 4, 1, 0, with_record=True)
+        surface = build_surface(cfg, 4)
+        assert record["surface"] == {
+            "M": 4,
+            "lambda_m": cfg.wavelength,
+            "R_d_m": 0.05,
+            "zeta": 10 ** -0.3,
+            "T": surface.attenuation.tolist(),
+            "omega": surface.phase.tolist(),
+        }
 
     def test_surface_cache_equivalence(self):
         cfg = tiny_config()

@@ -186,9 +186,6 @@ class TestTransmitBlock:
         surface = SurfaceModel(
             attenuation=rng.uniform(0.5, 1.5, 4),
             phase=rng.uniform(-np.pi, np.pi, 4),
-            efficiency=1.0,
-            wavelength=0.008,
-            feed_distance=0.1,
         )
         w = crandn(rng, 4, 3)
         w = w / np.abs(w)

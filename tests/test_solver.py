@@ -532,9 +532,6 @@ class TestEffectiveMatrix:
         surface = SurfaceModel(
             attenuation=np.array([0.5, 0.25]),
             phase=np.array([0.0, np.pi / 2]),
-            efficiency=1.0,
-            wavelength=0.008,
-            feed_distance=0.1,
         )
         chan = np.array([[1.0 + 0j, 2.0 + 0j]])
         eff = EffectiveMatrix.build(4.0, np.array([3.0]), chan, surface)
@@ -547,7 +544,7 @@ class TestEffectiveMatrix:
     def test_bad_power(self):
         from ristx.geometry import SurfaceModel
 
-        surface = SurfaceModel(np.array([1.0]), np.array([0.0]), 1.0, 0.008, 0.1)
+        surface = SurfaceModel(np.array([1.0]), np.array([0.0]))
         with pytest.raises(ValueError):
             EffectiveMatrix.build(0.0, np.array([1.0]), np.array([[1.0 + 0j]]), surface)
 
