@@ -242,14 +242,23 @@ _FIELDS = {
 }
 
 
-def _unlit_surface(cfg):
+def _surface_faults(cfg):
     """Why the feed beam misses an element of a configured surface size, if
-    it does; every trial at that size would fail."""
+    it does; every trial at that size would fail.  A size whose radii or
+    attenuations leave the float range fails every trial too: that raises a
+    ``ConfigError`` on the field that places the feed, ``feed_distance``, or
+    ``wavelength`` when the feed distance follows from it."""
+    geometry = "wavelength" if cfg.feed_distance is None else "feed_distance"
     for m in cfg.m_list:
         try:
-            build_surface(cfg, m)
+            with np.errstate(all="ignore"):
+                attenuation = build_surface(cfg, m).attenuation
         except UnilluminatedElementError as e:
             return f"leaves the M={m} surface partly unlit: {e}"
+        except OverflowError:
+            attenuation = np.inf
+        if not np.all((attenuation > 0) & (attenuation < np.inf)):
+            raise ConfigError(geometry, f"puts the M={m} surface outside the float range")
     return None
 
 
@@ -268,6 +277,7 @@ def _cell_edge_overflows(cfg):
 
 # (field, objection), checked in order once every field fits its row; an
 # objection returns what is wrong with the config, or a false value
+# (``_surface_faults`` raises itself where the fault lies in another field)
 _RULES = (
     ("r_max", lambda c: c.r_max <= c.r_min and "must exceed r_min"),
     ("r_max", _cell_edge_overflows),
@@ -277,7 +287,7 @@ _RULES = (
      "the single-RF scheme is required (the benchmark power-matches against it)"),
     ("schemes", lambda c: len(set(c.schemes)) < len(c.schemes) and
      "lists a scheme twice"),
-    ("feed_beamwidth_deg", _unlit_surface),
+    ("feed_beamwidth_deg", _surface_faults),
 )
 
 
@@ -324,14 +334,8 @@ def run_trial(cfg, num_users, num_elements, b, trial_index, surface=None,
 
     Returns (results, record): one TrialResult per configured scheme, and a
     JSON-serializable trial record when ``with_record`` is set (else None).
+    Any error is raised as a ``TrialError`` naming the sweep point.
     """
-    return _checked_trial(cfg, num_users, num_elements, b, trial_index, surface,
-                          with_record)[1:]
-
-
-def _checked_trial(cfg, num_users, num_elements, b, trial_index, surface,
-                   with_record):
-    """``(trial_seed, results, record)``, errors raised as ``TrialError``."""
     try:
         return _run_trial(cfg, num_users, num_elements, b, trial_index, surface,
                           with_record)
@@ -364,7 +368,7 @@ def _run_trial(cfg, num_users, num_elements, b, trial_index, surface, with_recor
     papr_rf = papr(sol.gains, cfg.feed_power)
     results = [
         trial_result(
-            SCHEME_SINGLE_RF, d_rf, p_out, papr_rf,
+            SCHEME_SINGLE_RF, d_rf, p_out, papr_rf, trial_seed,
             iterations_mean=float(np.mean(sol.iterations)),
             converged_fraction=float(np.mean(sol.converged)),
             negative_gain_events=int(np.sum(sol.negative_gain_events)),
@@ -381,6 +385,7 @@ def _run_trial(cfg, num_users, num_elements, b, trial_index, surface, with_recor
                 SCHEME_MF, d_mf,
                 p_out=float(np.mean(radiated)),
                 papr_linear=float(np.max(radiated) / np.mean(radiated)),
+                trial_seed=trial_seed,
             )
         )
 
@@ -422,16 +427,14 @@ def _run_trial(cfg, num_users, num_elements, b, trial_index, surface, with_recor
             },
             "received_mse_mean": float(np.mean(mse)),
             "noise_var": cfg.noise_var,
-            "results": [vars(r) | {"trial_seed": trial_seed} for r in results],
+            "results": [vars(r) for r in results],
         }
-    return trial_seed, results, record
+    return results, record
 
 
 def trial_rows(cfg, num_users, num_elements, b, trial_index, surface=None):
     """CSV row dicts (one per scheme) for a single trial."""
-    trial_seed, results, _ = _checked_trial(
-        cfg, num_users, num_elements, b, trial_index, surface, False
-    )
+    results, _ = run_trial(cfg, num_users, num_elements, b, trial_index, surface)
     rows = []
     for r in results:
         rows.append({
@@ -440,7 +443,7 @@ def trial_rows(cfg, num_users, num_elements, b, trial_index, surface=None):
             "M": num_elements,
             "B": b_label(b),
             "trial_index": trial_index,
-            "trial_seed": trial_seed,
+            "trial_seed": r.trial_seed,
             "D_dB": r.d_db,
             "D_linear": r.d_linear,
             "D_floored": int(r.d_db_floored),
@@ -668,19 +671,14 @@ def summarize(rows, cfg):
             "PAPR_linear_mean": float(
                 np.mean([10.0 ** (v / 10.0) for v in papr_db])
             ),
-            "iterations_mean": _finite_mean(
-                [float(r["iterations_mean"]) for r in bucket]
+            "iterations_mean": float(
+                np.mean([float(r["iterations_mean"]) for r in bucket])
             ),
-            "converged_fraction": _finite_mean(
-                [float(r["converged_fraction"]) for r in bucket]
+            "converged_fraction": float(
+                np.mean([float(r["converged_fraction"]) for r in bucket])
             ),
         })
     return summary
-
-
-def _finite_mean(values):
-    finite = [v for v in values if not math.isnan(v)]
-    return float(np.mean(finite)) if finite else float("nan")
 
 
 # The figure-reproduction sweeps: the fields each sets, the rest default.

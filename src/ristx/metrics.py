@@ -11,16 +11,16 @@ from .errors import DegenerateBlockError
 DB_FLOOR = -200.0  # dB stand-in for an exact-zero linear value
 
 
-def db10(value, floor=DB_FLOOR):
+def db10(value):
     """10*log10 with a numeric floor for exact zeros.
 
-    Returns (db, floored) where ``floored`` marks a value clamped at the
-    floor because the linear input was zero.
+    Returns (db, floored) where ``floored`` marks a value clamped at
+    ``DB_FLOOR`` because the linear input was zero.
     """
     if value < 0.0:
         raise ValueError("dB conversion of a negative value")
     if value == 0.0:
-        return floor, True
+        return DB_FLOOR, True
     return float(10.0 * np.log10(value)), False
 
 
@@ -100,9 +100,10 @@ class TrialResult:
     iterations_mean: float
     converged_fraction: float
     negative_gain_events: int
+    trial_seed: int            # of the trial's random streams
 
 
-def trial_result(scheme, d_linear, p_out, papr_linear,
+def trial_result(scheme, d_linear, p_out, papr_linear, trial_seed,
                  iterations_mean=float("nan"), converged_fraction=float("nan"),
                  negative_gain_events=0):
     """Assemble a TrialResult, deriving the dB forms."""
@@ -119,4 +120,5 @@ def trial_result(scheme, d_linear, p_out, papr_linear,
         iterations_mean=float(iterations_mean),
         converged_fraction=float(converged_fraction),
         negative_gain_events=int(negative_gain_events),
+        trial_seed=int(trial_seed),
     )

@@ -12,9 +12,9 @@ For a quantized codebook the projection finds the nearest phase in one
 rounding pass over ``(angle + pi) / spacing``; only entries within 1e-9 of a
 midpoint are decided again by the exact two-candidate distance comparison,
 which fixes the tie and seam rule.  The iterate is carried as integer phase
-indices into the codebook's precomputed ``exp(1j*phases)`` table, so the
-returned phases are read off the table rather than re-quantized.  The
-continuous codebook carries the complex iterate itself.
+indices into the codebook's precomputed ``exp(1j*phases)`` table, and the
+returned ``w`` is taken from that table, not re-quantized.  The continuous
+codebook carries the complex iterate itself.
 """
 
 from __future__ import annotations
@@ -99,12 +99,6 @@ def _unit(state, codebook):
     return state if codebook.is_continuous else codebook.unit[state]
 
 
-def _expand(state, codebook):
-    """``(w, beta)`` of a carried iterate (see ``_project``)."""
-    beta = np.angle(state) if codebook.is_continuous else codebook.phases[state]
-    return _unit(state, codebook), beta
-
-
 def _nearest_index(angles, codebook):
     """Index of the wrapped-nearest codebook phase, smaller phase on ties.
 
@@ -151,14 +145,6 @@ def _bracket_index(angles, codebook):
     return np.where(lo_wins, lo, hi)
 
 
-def spectral_norm_sq(matrix):
-    """Largest squared singular value of a nonzero matrix."""
-    matrix = np.asarray(matrix)
-    if not np.any(matrix):
-        raise DegenerateDirectionError("spectral norm of a zero matrix")
-    return float(np.linalg.svd(matrix, compute_uv=False)[0] ** 2)
-
-
 @dataclass(frozen=True)
 class EffectiveMatrix:
     """Effective regressor matrix with its reusable factorizations.
@@ -175,8 +161,12 @@ class EffectiveMatrix:
 
     @classmethod
     def from_matrix(cls, matrix):
+        """Cache the factorizations of a nonzero matrix."""
         matrix = np.asarray(matrix, dtype=complex)
-        return cls(matrix, spectral_norm_sq(matrix), np.linalg.pinv(matrix))
+        if not np.any(matrix):
+            raise DegenerateDirectionError("spectral norm of a zero matrix")
+        norm_sq = float(np.linalg.svd(matrix, compute_uv=False)[0] ** 2)
+        return cls(matrix, norm_sq, np.linalg.pinv(matrix))
 
     @classmethod
     def build(cls, feed_power, post_gains, channel_matrix, surface):
@@ -216,20 +206,13 @@ class SolverOptions:
         return 1.25e-3 * num_elements
 
 
-def initial_phase_vector(eff, symbols, codebook):
-    """Seed iterate: quantized entrywise phases of the pseudo-inverse image.
+def _seed(eff, symbols, codebook):
+    """``(w, state)`` of the seed iterate (see ``_project``): the quantized
+    entrywise phases of the pseudo-inverse image.
 
     Entries of ``pinv @ s`` are normalized by their own modulus before
     quantization; exact zeros take phase 0 there (and are then quantized).
     """
-    symbols = np.asarray(symbols, dtype=complex)
-    if not np.any(symbols):
-        raise DegenerateSymbolError("symbol vector is identically zero")
-    return _seed(eff, symbols, codebook)[0]
-
-
-def _seed(eff, symbols, codebook):
-    """``(w, state)`` of the seed iterate (see ``initial_phase_vector``)."""
     raw = eff.pseudo_inverse @ symbols
     mags = np.abs(raw)
     unit = np.divide(raw, mags, out=np.ones_like(raw), where=mags > 0)
@@ -252,8 +235,7 @@ def _guarded_step(step_scale, gains, spectral_sq):
 class TuningSolution:
     """Solver output for a single interval."""
 
-    w: np.ndarray              # (M,) unit-modulus entries
-    beta: np.ndarray           # (M,) phases, members of the codebook
+    w: np.ndarray              # (M,) unit-modulus codebook entries
     gain: float                # amplification gain A
     iterations: int
     final_objective: float     # ||s - A * Heff @ w||^2 of the returned pair
@@ -265,8 +247,7 @@ class TuningSolution:
 class BlockSolution:
     """Per-interval solver outputs for a block of symbol columns."""
 
-    w: np.ndarray                    # (M, N)
-    beta: np.ndarray                 # (M, N)
+    w: np.ndarray                    # (M, N) unit-modulus codebook entries
     gains: np.ndarray                # (N,)
     iterations: np.ndarray           # (N,) int
     final_objectives: np.ndarray     # (N,)
@@ -276,7 +257,6 @@ class BlockSolution:
     def interval(self, n):
         return TuningSolution(
             w=self.w[:, n].copy(),
-            beta=self.beta[:, n].copy(),
             gain=float(self.gains[n]),
             iterations=int(self.iterations[n]),
             final_objective=float(self.final_objectives[n]),
@@ -310,8 +290,6 @@ def solve_block(eff, symbols, codebook, options=None):
     not bit for bit: a BLAS matrix product rounds a column differently
     depending on how many columns the product has.  For a fixed block width
     (``num_intervals``) and BLAS thread count the bytes are deterministic.
-    The iterate is carried as codebook indices for a quantized codebook
-    (see ``_project``), so ``beta`` is read off the phase table.
     """
     options = options or SolverOptions()
     # C order, like the column subsets taken later in the loop
@@ -397,10 +375,8 @@ def solve_block(eff, symbols, codebook, options=None):
         residual = s_block - projected * last_gain[None, :]
         out_state, out_gain, out_obj = state, last_gain, _column_norms_sq(residual)
 
-    out_w, beta = _expand(out_state, codebook)
     return BlockSolution(
-        w=out_w,
-        beta=beta,
+        w=_unit(out_state, codebook),
         gains=out_gain,
         iterations=iterations,
         final_objectives=out_obj,

@@ -81,6 +81,12 @@ class TestValidateConfig:
             ({"r_max": 1e200}, "r_max", "is too large"),
             ({"shadow_std_db": 1e5}, "shadow_std_db", "must be at most 100 dB"),
             ({"shadow_std_db": 800}, "shadow_std_db", "must be at most 100 dB"),
+            ({"feed_distance": 1e160}, "feed_distance",
+             "puts the M=64 surface outside the float range"),
+            ({"wavelength": 1e200}, "wavelength",
+             "puts the M=64 surface outside the float range"),
+            ({"wavelength": 1e-170, "m_list": [4]}, "wavelength",
+             "puts the M=4 surface outside the float range"),
         ],
         ids=["m_list-scalar", "b_list-scalar", "schemes-string", "b_list-fraction",
              "b_list-bool", "trials-fraction", "master_seed-bool", "m_list-bool",
@@ -89,7 +95,8 @@ class TestValidateConfig:
              "num_intervals-string", "feed_power-string", "zeta_db-string",
              "m_list-string", "k_list-null", "max_iterations-fraction",
              "step_scale-nan", "feed_beamwidth_deg-unlit", "r_max-1e100",
-             "r_max-1e200", "shadow_std_db-1e5", "shadow_std_db-800"],
+             "r_max-1e200", "shadow_std_db-1e5", "shadow_std_db-800",
+             "feed_distance-1e160", "wavelength-1e200", "wavelength-1e-170"],
     )
     def test_mistyped_list_field_named(self, tmp_path, capsys, data, field, message):
         path = write_config(tmp_path, data)

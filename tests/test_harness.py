@@ -80,6 +80,9 @@ class TestConfig:
             ("r_max", 1e200),
             ("shadow_std_db", 1e5),
             ("shadow_std_db", 800.0),
+            ("feed_distance", 1e160),
+            ("wavelength", 1e200),
+            ("wavelength", 1e-170),
         ],
     )
     def test_invalid_fields_name_the_field(self, field, value):
@@ -182,8 +185,10 @@ class TestRunTrial:
         results, record = run_trial(cfg, 2, 4, 1, 0)
         assert [r.scheme for r in results] == ["single_rf", "mf_digital"]
         assert record is None
+        seed = derive_trial_streams(cfg.master_seed, 2, 4, 1, 0)[0]
         for r in results:
             assert np.isfinite(r.d_db) and r.p_out > 0 and r.papr_linear >= 1.0
+            assert r.trial_seed == seed
 
     def test_rows_have_expected_columns(self):
         cfg = tiny_config()

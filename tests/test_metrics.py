@@ -73,7 +73,7 @@ class TestDistortion:
         s = h @ x
         d = distortion(s, identity_gains(2), h, x)
         assert d == pytest.approx(0.0, abs=1e-28)
-        res = trial_result("single_rf", d, 1.0, 1.0)
+        res = trial_result("single_rf", d, 1.0, 1.0, 7)
         assert res.d_db == -200.0 and res.d_db_floored
 
     def test_zero_transmit_expected_unit(self):
@@ -152,7 +152,7 @@ class TestPapr:
     def test_constant_gains(self):
         p = papr(np.full(11, 2.5), 4.0)
         assert p == pytest.approx(1.0)
-        assert trial_result("single_rf", 0.1, 1.0, p).papr_db == pytest.approx(0.0)
+        assert trial_result("single_rf", 0.1, 1.0, p, 7).papr_db == pytest.approx(0.0)
 
     def test_single_active_interval(self):
         p = papr(np.array([1.0, 0.0, 0.0, 0.0]), 7.0)

@@ -7,10 +7,12 @@ so that a traced replay still sees every stage of a trial.
 
 import importlib.util
 import re
+import types
 from pathlib import Path
 
 import numpy as np
 
+import ristx
 import ristx.harness
 import ristx.solver
 
@@ -26,12 +28,23 @@ def load_tracing():
     return module
 
 
-def test_readme_quick_start_runs(capsys):
+def quick_start():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Library quick start", 1)[1]
-    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
-    exec(compile(code, "README.md quick start", "exec"), {})
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_readme_quick_start_runs(capsys):
+    exec(compile(quick_start(), "README.md quick start", "exec"), {})
     assert len(capsys.readouterr().out.splitlines()) == 2
+
+
+def test_package_exports_only_the_quick_start_names():
+    imported = re.search(r"from ristx import \((.*?)\)", quick_start(), re.S).group(1)
+    exported = {name for name, value in vars(ristx).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert exported == {name.strip() for name in imported.split(",")}
+    assert isinstance(ristx.__version__, str)
 
 
 def test_harness_has_every_name_the_tracer_patches():
