@@ -41,7 +41,13 @@ from .metrics import (
     transmit_block,
     trial_result,
 )
-from .solver import EffectiveMatrix, PhaseCodebook, SolverOptions, solve_block
+from .solver import (
+    MAX_CODEBOOK_BITS,
+    EffectiveMatrix,
+    PhaseCodebook,
+    SolverOptions,
+    solve_block,
+)
 
 SCHEME_SINGLE_RF = "single_rf"
 SCHEME_MF = "mf_digital"
@@ -50,10 +56,6 @@ SCHEMES = (SCHEME_SINGLE_RF, SCHEME_MF)  # the order in which a trial emits them
 TRIALS_CSV = "trials.csv"
 SUMMARY_CSV = "summary.csv"
 MANIFEST_JSON = "manifest.json"
-
-# Largest bit depth a config may ask for: 2**16 phases, a 1.5 MiB codebook
-# (phase and unit tables).  Each further bit doubles the table per trial.
-MAX_CODEBOOK_BITS = 16
 
 # Largest shadowing spread a config may ask for.  Typical log-normal spreads
 # are 4-12 dB; far wider ones push path gains past the float range, and the
@@ -65,12 +67,27 @@ TRIAL_COLUMNS = (
     "D_dB", "D_linear", "D_floored", "P_out", "PAPR_dB",
     "iterations_mean", "converged_fraction",
 )
-SUMMARY_COLUMNS = (
-    "scheme", "K", "M", "B", "n_trials",
-    "D_dB_mean", "D_dB_std", "D_linear_mean", "D_linear_std",
-    "P_out_mean", "PAPR_dB_mean", "PAPR_dB_std", "PAPR_linear_mean",
-    "iterations_mean", "converged_fraction",
-)
+
+
+def _sample_std(values):
+    return np.std(values, ddof=1) if len(values) > 1 else 0.0
+
+
+# summary column -> (trials column, statistic over a point's trials)
+_SUMMARY_STATS = {
+    "D_dB_mean": ("D_dB", np.mean),
+    "D_dB_std": ("D_dB", _sample_std),
+    "D_linear_mean": ("D_linear", np.mean),
+    "D_linear_std": ("D_linear", _sample_std),
+    "P_out_mean": ("P_out", np.mean),
+    "PAPR_dB_mean": ("PAPR_dB", np.mean),
+    "PAPR_dB_std": ("PAPR_dB", _sample_std),
+    # per-trial scalar powers: a vectorized power may round the last bit apart
+    "PAPR_linear_mean": ("PAPR_dB", lambda x: np.mean([10.0 ** (v / 10.0) for v in x])),
+    "iterations_mean": ("iterations_mean", np.mean),
+    "converged_fraction": ("converged_fraction", np.mean),
+}
+SUMMARY_COLUMNS = ("scheme", "K", "M", "B", "n_trials", *_SUMMARY_STATS)
 
 
 @dataclass(frozen=True)
@@ -246,9 +263,11 @@ def _surface_faults(cfg):
     """Why the feed beam misses an element of a configured surface size, if
     it does; every trial at that size would fail.  A size whose radii or
     attenuations leave the float range fails every trial too: that raises a
-    ``ConfigError`` on the field that places the feed, ``feed_distance``, or
-    ``wavelength`` when the feed distance follows from it."""
-    geometry = "wavelength" if cfg.feed_distance is None else "feed_distance"
+    ``ConfigError`` on ``feed_distance`` when its square leaves the float
+    range, else on ``wavelength``: the element pitch, and the feed distance
+    too when that is null."""
+    fd = cfg.feed_distance
+    geometry = "wavelength" if fd is None or 0 < fd * fd < math.inf else "feed_distance"
     for m in cfg.m_list:
         try:
             with np.errstate(all="ignore"):
@@ -652,31 +671,11 @@ def summarize(rows, cfg):
         if key not in groups:
             continue
         bucket = groups[key]
-        d_db = np.array([float(r["D_dB"]) for r in bucket])
-        d_lin = np.array([float(r["D_linear"]) for r in bucket])
-        papr_db = np.array([float(r["PAPR_dB"]) for r in bucket])
-        summary.append({
-            "scheme": key[0],
-            "K": key[1],
-            "M": key[2],
-            "B": key[3],
-            "n_trials": len(bucket),
-            "D_dB_mean": float(np.mean(d_db)),
-            "D_dB_std": float(np.std(d_db, ddof=1)) if len(bucket) > 1 else 0.0,
-            "D_linear_mean": float(np.mean(d_lin)),
-            "D_linear_std": float(np.std(d_lin, ddof=1)) if len(bucket) > 1 else 0.0,
-            "P_out_mean": float(np.mean([float(r["P_out"]) for r in bucket])),
-            "PAPR_dB_mean": float(np.mean(papr_db)),
-            "PAPR_dB_std": float(np.std(papr_db, ddof=1)) if len(bucket) > 1 else 0.0,
-            "PAPR_linear_mean": float(
-                np.mean([10.0 ** (v / 10.0) for v in papr_db])
-            ),
-            "iterations_mean": float(
-                np.mean([float(r["iterations_mean"]) for r in bucket])
-            ),
-            "converged_fraction": float(
-                np.mean([float(r["converged_fraction"]) for r in bucket])
-            ),
+        columns = {source: np.array([float(r[source]) for r in bucket])
+                   for source, _ in _SUMMARY_STATS.values()}
+        summary.append(dict(zip(SUMMARY_COLUMNS, (*key, len(bucket)))) | {
+            name: float(stat(columns[source]))
+            for name, (source, stat) in _SUMMARY_STATS.items()
         })
     return summary
 

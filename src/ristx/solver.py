@@ -8,13 +8,13 @@ The tuner is a projected gradient descent: closed-form gain update, gradient
 step on the unconstrained transmit vector, projection onto the codebook by
 nearest wrapped phase.
 
-For a quantized codebook the projection finds the nearest phase in one
-rounding pass over ``(angle + pi) / spacing``; only entries within 1e-9 of a
-midpoint are decided again by the exact two-candidate distance comparison,
-which fixes the tie and seam rule.  The iterate is carried as integer phase
-indices into the codebook's precomputed ``exp(1j*phases)`` table, and the
-returned ``w`` is taken from that table, not re-quantized.  The continuous
-codebook carries the complex iterate itself.
+The iterate is the unit-modulus ``w`` itself, and ``quantize_phases`` is
+its only projection.  For a quantized codebook it finds the nearest phase in
+one rounding pass over ``(angle + pi) / spacing``; only entries within 1e-9
+of a midpoint are decided again by the exact two-candidate distance
+comparison, which fixes the tie and seam rule.  The projected entries are
+read from the codebook's precomputed ``exp(1j*phases)`` table, so every
+iterate is a codebook point bit for bit.
 """
 
 from __future__ import annotations
@@ -28,6 +28,11 @@ from .geometry import wrap_phase
 
 GAIN_FLOOR = 1e-12  # step-size guard when the gain update stalls at <= 0
 
+# Largest bit depth of a quantized codebook: 2**16 phases, a 1.5 MiB phase
+# and unit table.  Each further bit doubles the table, and the 1e-9 tie band
+# of ``_nearest_index`` covers the rounding error of the slot only up to here.
+MAX_CODEBOOK_BITS = 16
+
 
 @dataclass(frozen=True)
 class PhaseCodebook:
@@ -35,8 +40,9 @@ class PhaseCodebook:
 
     ``bits=B`` gives the 2**B uniformly spaced phases -pi + i*pi/2**(B-1),
     i = 0..2**B-1 (spacing pi/2**(B-1), all in [-pi, pi)), and ``unit``
-    their points exp(1j*phases) on the unit circle.  ``bits=None`` is the
-    continuous limit, i.e. any phase in [-pi, pi].
+    their points exp(1j*phases) on the unit circle; B runs from 1 to
+    ``MAX_CODEBOOK_BITS``.  ``bits=None`` is the continuous limit, i.e. any
+    phase in [-pi, pi].
     """
 
     bits: int | None
@@ -46,8 +52,8 @@ class PhaseCodebook:
     def __post_init__(self):
         if self.bits is None:
             return
-        if self.bits < 1:
-            raise ValueError("bits must be >= 1")
+        if not 1 <= self.bits <= MAX_CODEBOOK_BITS:
+            raise ValueError(f"bits must be in 1..{MAX_CODEBOOK_BITS}")
         table = -np.pi + np.arange(2**self.bits) * (np.pi / 2 ** (self.bits - 1))
         object.__setattr__(self, "phases", table)
         object.__setattr__(self, "unit", np.exp(1j * table))
@@ -68,35 +74,22 @@ class PhaseCodebook:
 def quantize_phases(values, codebook):
     """Project complex values entrywise onto the codebook's unit circle.
 
-    For a quantized codebook each entry maps to ``codebook.unit[i]``, with
-    phase ``i`` the codebook phase of smallest wrapped angular distance to
-    the entry's phase, found by one rounding pass (see ``_nearest_index``);
-    exact midpoints resolve to the smaller phase value.  The continuous
-    codebook divides by the modulus.  Zero entries take the first (lowest)
-    codebook phase, -pi.
+    ``values`` may have any shape; the result has the same.  For a quantized
+    codebook each entry maps to ``codebook.unit[i]``, with phase ``i`` the
+    codebook phase of smallest wrapped angular distance to the entry's
+    phase, found by one rounding pass (see ``_nearest_index``); exact
+    midpoints resolve to the smaller phase value.  The continuous codebook
+    divides by the modulus.  Zero entries take the first (lowest) codebook
+    phase, -pi.
     """
     values = np.asarray(values, dtype=complex)
-    return _project(values.reshape(-1), codebook)[0].reshape(values.shape)
-
-
-def _project(values, codebook):
-    """``(w, state)``: the projection of ``values`` and the iterate to carry.
-
-    ``state`` is the int index array into ``codebook.unit`` for a quantized
-    codebook, and ``w`` itself for the continuous one.
-    """
     if codebook.is_continuous:
         w = np.where(values == 0, np.exp(-1j * np.pi), values)
-        w = w / np.abs(w)
-        return w, w
-    idx = _nearest_index(np.angle(values), codebook)
-    idx[values == 0] = 0
-    return codebook.unit[idx], idx
-
-
-def _unit(state, codebook):
-    """Unit-modulus iterate ``w`` of a carried state (see ``_project``)."""
-    return state if codebook.is_continuous else codebook.unit[state]
+        return w / np.abs(w)
+    entries = np.atleast_1d(values)
+    idx = _nearest_index(np.angle(entries), codebook)
+    idx[entries == 0] = 0
+    return codebook.unit[idx].reshape(values.shape)
 
 
 def _nearest_index(angles, codebook):
@@ -106,14 +99,14 @@ def _nearest_index(angles, codebook):
     the codebook (first minimum wins).  One rounding pass does the work:
     the nearest slot is ``x = (angle + pi) / spacing`` rounded to the
     nearest integer, with slot ``levels`` (angle near +pi) wrapping to 0.
-    Entries whose ``x`` lies within the tie band of a half-integer (1e-9,
-    widened for very fine codebooks to cover the rounding error of ``x``),
-    and NaN entries, are decided again by comparing the wrapped distances
-    to the two bracketing slots (``_bracket_index``), which fixes exact
-    midpoints and the seam.  ``angles`` must be an array of dimension >= 1.
+    Entries whose ``x`` lies within 1e-9 of a half-integer, and NaN
+    entries, are decided again by comparing the wrapped distances to the two
+    bracketing slots (``_bracket_index``), which fixes exact midpoints and
+    the seam.  The rounding error of ``x`` is below 64 * levels * eps, which
+    stays under that band up to ``MAX_CODEBOOK_BITS`` (9.3e-10 at 16 bits).
+    ``angles`` must be an array of dimension >= 1.
     """
     levels = codebook.phases.shape[0]
-    band = max(1e-9, 64 * levels * np.finfo(float).eps)
     x = angles + np.pi
     x *= 2 ** (codebook.bits - 1) / np.pi
     nearest = np.rint(x)
@@ -121,7 +114,7 @@ def _nearest_index(angles, codebook):
     idx &= levels - 1  # levels is a power of two: wraps slot levels to 0
     x -= nearest
     np.abs(x, out=x)
-    near_tie = ~(x <= 0.5 - band)
+    near_tie = ~(x <= 0.5 - 1e-9)
     if np.any(near_tie):
         idx[near_tie] = _bracket_index(angles[near_tie], codebook)
     return idx
@@ -207,8 +200,8 @@ class SolverOptions:
 
 
 def _seed(eff, symbols, codebook):
-    """``(w, state)`` of the seed iterate (see ``_project``): the quantized
-    entrywise phases of the pseudo-inverse image.
+    """The seed iterate ``w``: the quantized entrywise phases of the
+    pseudo-inverse image.
 
     Entries of ``pinv @ s`` are normalized by their own modulus before
     quantization; exact zeros take phase 0 there (and are then quantized).
@@ -216,7 +209,7 @@ def _seed(eff, symbols, codebook):
     raw = eff.pseudo_inverse @ symbols
     mags = np.abs(raw)
     unit = np.divide(raw, mags, out=np.ones_like(raw), where=mags > 0)
-    return _project(unit, codebook)
+    return quantize_phases(unit, codebook)
 
 
 def _guarded_step(step_scale, gains, spectral_sq):
@@ -270,10 +263,16 @@ def _column_norms_sq(block):
 
 
 def _gain_and_objective(eff, w_block, s_block):
-    """Optimal gains and resulting objectives for every column at once."""
+    """Optimal gains and resulting objectives for every column at once.
+
+    ``||Heff @ w||^2`` counts as zero up to eps times its largest value
+    over unit-modulus ``w``, ``spectral_norm_sq * M``, so that scaling
+    ``Heff`` (by ``feed_power`` or the surface attenuation) leaves the
+    guard where it was.
+    """
     projected = eff.matrix @ w_block
     denom = _column_norms_sq(projected)
-    if np.any(denom < np.finfo(float).eps):
+    if np.any(denom <= np.finfo(float).eps * eff.spectral_norm_sq * eff.matrix.shape[1]):
         raise DegenerateDirectionError("Heff @ w has (numerically) zero norm")
     gains = np.einsum("ij,ij->j", projected.conj(), s_block).real / denom
     residual = s_block - projected * gains[None, :]
@@ -308,19 +307,19 @@ def solve_block(eff, symbols, codebook, options=None):
     rho2 = eff.spectral_norm_sq
     matrix_h = eff.matrix.conj().T
 
-    w_act, state = _seed(eff, s_block, codebook)
-    state_act, s_act = state, s_block
+    w = w_act = _seed(eff, s_block, codebook)
+    s_act = s_block
 
     last_gain = np.zeros(num_cols)
     iterations = np.zeros(num_cols, dtype=int)
     converged = np.zeros(num_cols, dtype=bool)
     negative_events = np.zeros(num_cols, dtype=int)
     best_obj = np.full(num_cols, np.inf)
-    best_state = state.copy()
+    best_w = w.copy()
     best_gain = np.zeros(num_cols)
 
-    # w_act, state_act and s_act hold the active columns only; while every
-    # column is active they are the full arrays, not copies.
+    # w_act and s_act hold the active columns only; while every column is
+    # active they are the full arrays, not copies.
     active = np.arange(num_cols)
     t = 0
     while active.size and t < options.max_iterations:
@@ -330,53 +329,50 @@ def solve_block(eff, symbols, codebook, options=None):
         improved = objective < best_obj[active]
         hit = active[improved]
         best_obj[hit] = objective[improved]
-        best_state[:, hit] = state_act[:, improved]
+        best_w[:, hit] = w_act[:, improved]
         best_gain[hit] = gains[improved]
 
         steps, bad = _guarded_step(options.step_scale, gains, rho2)
         negative_events[active[bad]] += 1
 
-        w_next, state_next = _project(
-            w_act + (matrix_h @ residual) * steps[None, :], codebook
-        )
+        w_next = quantize_phases(w_act + (matrix_h @ residual) * steps[None, :], codebook)
         change = _column_norms_sq(w_next - w_act)
 
         if active.size == num_cols:
-            state = state_next
+            w = w_next
         else:
-            state[:, active] = state_next
+            w[:, active] = w_next
         last_gain[active] = gains
         iterations[active] = t
 
         done = change < threshold
         converged[active[done]] = True
         keep = ~done & (t < options.max_iterations)
-        w_act, state_act = w_next, state_next
+        w_act = w_next
         if not np.all(keep):
             active = active[keep]
-            w_act, state_act, s_act = w_act[:, keep], state_act[:, keep], s_act[:, keep]
+            w_act, s_act = w_act[:, keep], s_act[:, keep]
 
     # Evaluate the final iterate too: it is the last point visited and, for
     # threshold stops under coarse quantization, coincides with the last
     # evaluated pair anyway.  After a single pass that moved no column the
-    # final iterate is the seed (best_state holds it then), and this would
+    # final iterate is the seed (best_w holds it then), and this would
     # repeat pass 1 bit for bit and improve nothing.
-    if t != 1 or not np.array_equal(state, best_state):
-        gains_fin, _, obj_fin = _gain_and_objective(eff, _unit(state, codebook), s_block)
+    if t != 1 or not np.array_equal(w, best_w):
+        gains_fin, _, obj_fin = _gain_and_objective(eff, w, s_block)
         improved = obj_fin < best_obj
         best_obj[improved] = obj_fin[improved]
-        best_state[:, improved] = state[:, improved]
+        best_w[:, improved] = w[:, improved]
         best_gain[improved] = gains_fin[improved]
 
     if options.track_best:
-        out_state, out_gain, out_obj = best_state, best_gain, best_obj
+        out_w, out_gain, out_obj = best_w, best_gain, best_obj
     else:
-        projected = eff.matrix @ _unit(state, codebook)
-        residual = s_block - projected * last_gain[None, :]
-        out_state, out_gain, out_obj = state, last_gain, _column_norms_sq(residual)
+        residual = s_block - (eff.matrix @ w) * last_gain[None, :]
+        out_w, out_gain, out_obj = w, last_gain, _column_norms_sq(residual)
 
     return BlockSolution(
-        w=_unit(out_state, codebook),
+        w=out_w,
         gains=out_gain,
         iterations=iterations,
         final_objectives=out_obj,

@@ -87,6 +87,8 @@ class TestValidateConfig:
              "puts the M=64 surface outside the float range"),
             ({"wavelength": 1e-170, "m_list": [4]}, "wavelength",
              "puts the M=4 surface outside the float range"),
+            ({"wavelength": 1e200, "feed_distance": 1.0}, "wavelength",
+             "puts the M=64 surface outside the float range"),
         ],
         ids=["m_list-scalar", "b_list-scalar", "schemes-string", "b_list-fraction",
              "b_list-bool", "trials-fraction", "master_seed-bool", "m_list-bool",
@@ -96,7 +98,8 @@ class TestValidateConfig:
              "m_list-string", "k_list-null", "max_iterations-fraction",
              "step_scale-nan", "feed_beamwidth_deg-unlit", "r_max-1e100",
              "r_max-1e200", "shadow_std_db-1e5", "shadow_std_db-800",
-             "feed_distance-1e160", "wavelength-1e200", "wavelength-1e-170"],
+             "feed_distance-1e160", "wavelength-1e200", "wavelength-1e-170",
+             "wavelength-1e200-feed_distance-set"],
     )
     def test_mistyped_list_field_named(self, tmp_path, capsys, data, field, message):
         path = write_config(tmp_path, data)
@@ -221,6 +224,21 @@ class TestSweep:
         manifest = json.loads((out / MANIFEST_JSON).read_text())
         assert len(manifest["failures"]) == 1
         assert "trial_index=0: injected" in manifest["failures"][0]
+
+    def test_tiny_feed_power_sweeps_like_unit_power(self, tmp_path):
+        # ||Heff @ w||^2 scales with feed_power, the distortion does not
+        base = {"m_list": [64], "b_list": [4], "k_list": [2], "trials": 2,
+                "schemes": ["single_rf"]}
+        d_db = []
+        for power in (1e-20, 1.0):
+            path = write_config(tmp_path, base | {"feed_power": power})
+            out = tmp_path / f"out-{power}"
+            assert main(["sweep", path, "-o", str(out)]) == 0
+            rows = (out / TRIALS_CSV).read_text().splitlines()
+            column = rows[0].split(",").index("D_dB")
+            d_db.append([float(row.split(",")[column]) for row in rows[1:]])
+        assert len(d_db[0]) == 2
+        assert d_db[0] == pytest.approx(d_db[1], rel=0, abs=1e-9)
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         cfg = tiny_config_dict()

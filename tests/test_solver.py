@@ -76,8 +76,10 @@ class TestCodebook:
         )
 
     def test_invalid_bits(self):
-        with pytest.raises(ValueError):
-            PhaseCodebook.quantized(0)
+        # checked before the 2**bits table is allocated
+        for bits in (0, 17):
+            with pytest.raises(ValueError):
+                PhaseCodebook.quantized(bits)
 
     def test_labels(self):
         assert b_label(PhaseCodebook.quantized(4).bits) == "4"
@@ -143,11 +145,27 @@ class TestQuantize:
             assert np.max(np.abs(np.abs(w) - 1.0)) < 5e-16
 
     def test_matrix_input(self):
-        u = crandn(np.random.default_rng(14), 6, 9)
-        w = quantize_phases(u, PhaseCodebook.quantized(2))
-        assert w.shape == (6, 9)
-        col = quantize_phases(u[:, 0], PhaseCodebook.quantized(2))
-        assert np.array_equal(w[:, 0], col)
+        # the solver projects whole (M, N) blocks; each column must come out
+        # as its own call would give it, bitwise, zeros and midpoints included
+        rng = np.random.default_rng(14)
+        for bits in (1, 2, 4, 16, None):
+            cb = PhaseCodebook(bits)
+            block = crandn(rng, 9, 12)
+            block[2, :4] = 0.0
+            block[5, 3] = complex(-0.0, 0.0)
+            # exact 1- and 2-bit midpoints, and the seam at -1
+            block[6, :] = [1j, -1j, 1 + 1j, -1 - 1j, 1 - 1j, -1 + 1j,
+                           -1, complex(-1, -0.0), 1, 2j, -2, 0.5 - 0.5j]
+            if bits is not None:
+                levels, spacing = 2**bits, np.pi / 2 ** (bits - 1)
+                slots = np.arange(12) % levels
+                block[7, :] = 3.0 * np.exp(1j * (cb.phases[slots] + spacing / 2))
+                block[8, :] = np.exp(1j * (cb.phases[-1 - slots] + spacing / 2))
+            w = quantize_phases(block, cb)
+            assert w.shape == block.shape
+            for n in range(block.shape[1]):
+                assert np.array_equal(w[:, n], quantize_phases(block[:, n], cb))
+                assert np.array_equal(w[:, n], quantize_phases(block[:, n].copy(), cb))
 
     @pytest.mark.parametrize("bits", range(1, 17))
     def test_matches_exhaustive_argmin(self, bits):
@@ -207,7 +225,7 @@ class TestQuantize:
 class TestInit:
     def test_scalar_preserves_phase(self):
         eff = EffectiveMatrix.from_matrix(np.array([[2.0 + 0j]]))
-        w = _seed(eff, np.array([4.0j]), CONT)[0]
+        w = _seed(eff, np.array([4.0j]), CONT)
         assert w[0] == pytest.approx(1j, rel=1e-12)
 
     def test_row_vector_closed_form(self):
@@ -215,12 +233,12 @@ class TestInit:
         mat = np.array([[1.0, 1.0j]])
         eff = EffectiveMatrix.from_matrix(mat)
         assert np.allclose(eff.pseudo_inverse, mat.conj().T / 2.0, atol=1e-14)
-        w = _seed(eff, np.array([1.0 + 0j]), CONT)[0]
+        w = _seed(eff, np.array([1.0 + 0j]), CONT)
         assert np.allclose(w, [1.0, -1.0j], atol=1e-12)
 
     def test_row_vector_quantized_tie(self):
         eff = EffectiveMatrix.from_matrix(np.array([[1.0, 1.0j]]))
-        w = _seed(eff, np.array([1.0 + 0j]), PhaseCodebook.quantized(1))[0]
+        w = _seed(eff, np.array([1.0 + 0j]), PhaseCodebook.quantized(1))
         assert np.allclose(w, [1.0, -1.0], atol=1e-15)
 
 
@@ -328,7 +346,7 @@ class TestSolve:
         for cb in (PhaseCodebook.quantized(2), CONT):
             for _ in range(20):
                 eff, s = random_problem(rng, 2, 8)
-                w0 = _seed(eff, s, cb)[0]
+                w0 = _seed(eff, s, cb)
                 first = objective(eff, w0, s, column_gain(eff, w0, s))
                 sol = solve(eff, s, cb)
                 assert sol.final_objective <= first + 1e-12
@@ -519,10 +537,24 @@ class TestBlockSolver:
         block = crandn(rng, 2, 12)
         sol = solve_block(eff, block, cb, SolverOptions(track_best=track_best))
         assert np.all(sol.iterations == 1)
-        assert np.array_equal(sol.w, _seed(eff, block, cb)[0])
+        assert np.array_equal(sol.w, _seed(eff, block, cb))
         gains, _, objectives = _gain_and_objective(eff, sol.w, block)
         assert np.array_equal(sol.gains, gains)
         assert np.array_equal(sol.final_objectives, objectives)
+
+    @pytest.mark.parametrize("cb", [PhaseCodebook.quantized(4), CONT])
+    def test_heff_scale_leaves_iterates_alone(self, cb):
+        # a power-of-two scale of Heff is exact in every product, so the
+        # iterates must not change, nor may the zero-norm guard fire
+        rng = np.random.default_rng(42)
+        mat = crandn(rng, 12, 16)
+        block = crandn(rng, 12, 10)
+        ref = solve_block(EffectiveMatrix.from_matrix(mat), block, cb)
+        assert np.any(ref.iterations > 1)
+        for scale in (2.0**-60, 2.0**60):
+            sol = solve_block(EffectiveMatrix.from_matrix(scale * mat), block, cb)
+            assert np.array_equal(sol.w, ref.w)
+            assert np.array_equal(sol.iterations, ref.iterations)
 
     def test_row_count_validation(self):
         eff = EffectiveMatrix.from_matrix(np.eye(2, dtype=complex))
