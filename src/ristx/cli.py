@@ -26,7 +26,7 @@ def _load_config(path):
             data = json.load(fh)
     except OSError as e:
         raise ConfigError("<file>", f"cannot read {path}: {e}") from e
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError or UnicodeDecodeError
         raise ConfigError("<file>", f"{path} is not valid JSON: {e}") from e
     return SimConfig.from_dict(data)
 

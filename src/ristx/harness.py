@@ -17,7 +17,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +37,6 @@ from .metrics import (
     average_power,
     distortion,
     papr,
-    received_mse,
     transmit_block,
     trial_result,
 )
@@ -109,18 +108,16 @@ class SimConfig:
     r_max: float = 1000.0                # meters
     trials: int = 200
     master_seed: int = 12345
-    noise_var: float = 0.0               # only enters optional received-MSE reporting
     step_scale: float = 0.5
     change_threshold: float | None = None  # None -> solver default (1.25e-3 per element)
     max_iterations: int = 1000
-    track_best: bool = True
     schemes: tuple = SCHEMES
 
     def validate(self):
         """This config in canonical form (ints, floats, tuples, schemes in
-        ``SCHEMES`` order), once every field fits its row of ``_FIELDS`` and
-        no rule of ``_RULES`` objects; else a ``ConfigError`` names the first
-        field that does not."""
+        ``SCHEMES`` order), once every field fits its row of ``_FIELDS``, no
+        array lists an entry twice and no rule of ``_RULES`` objects; else a
+        ``ConfigError`` names the first field that does not."""
         values = {}
         for name, spec in self.__dataclass_fields__.items():
             kind, ok, description = _FIELDS[name]
@@ -132,8 +129,10 @@ class SimConfig:
                     raise ConfigError(name, "must be a JSON array")
                 if not value:
                     raise ConfigError(name, "must not be empty")
-                values[name] = tuple(_fit(name, kind[0], ok, description, v)
-                                     for v in value)
+                items = tuple(_fit(name, kind[0], ok, description, v) for v in value)
+                if len(set(items)) < len(items):
+                    raise ConfigError(name, "lists an entry twice")
+                values[name] = items
             else:
                 values[name] = _fit(name, kind, ok, description, value)
         values["schemes"] = tuple(sorted(values["schemes"], key=SCHEMES.index))
@@ -167,7 +166,6 @@ class SimConfig:
             step_scale=self.step_scale,
             change_threshold=self.change_threshold,
             max_iterations=self.max_iterations,
-            track_best=self.track_best,
         )
 
     def cell(self):
@@ -207,13 +205,11 @@ def _bits(value):
     return None if value is None else _whole(value)
 
 
-def _instance(cls):
-    """The kind of values that are instances of ``cls``, kept as they are."""
-    def kind(value):
-        if not isinstance(value, cls):
-            raise TypeError
-        return value
-    return kind
+def _text(value):
+    """A string, kept as it is."""
+    if not isinstance(value, str):
+        raise TypeError
+    return value
 
 
 def _fit(name, kind, ok, description, value):
@@ -249,49 +245,78 @@ _FIELDS = {
     "r_max": (_real, lambda v: v > 0, "a positive real"),
     "trials": (_whole, lambda v: v > 0, "a positive whole number"),
     "master_seed": (_whole, lambda v: v >= 0, "a nonnegative whole number"),
-    "noise_var": (_real, lambda v: v >= 0, "a nonnegative real"),
     "step_scale": (_real, lambda v: 0 < v < 1, "a real in (0, 1)"),
     "change_threshold": (_real, lambda v: v > 0, "a positive real or null"),
     "max_iterations": (_whole, lambda v: v > 0, "a positive whole number"),
-    "track_best": (_instance(bool), lambda v: True, "true or false"),
-    "schemes": ([_instance(str)], lambda s: s in SCHEMES,
+    "schemes": ([_text], lambda s: s in SCHEMES,
                 f"a scheme ('{SCHEME_SINGLE_RF}' or '{SCHEME_MF}')"),
 }
 
 
+# The normal float range less a headroom of 2**64 at each end, where the
+# scale feed_power * attenuation**2 of the effective matrix must lie.  A
+# trial sums K * M such squares into ||Heff @ w||^2 and its spectral norm,
+# and the squared feed gain reaches 1 / (eps * scale) before the solver's
+# zero-norm guard stops it; 2**64 covers both (1 / eps is 2**52) with room
+# for the fading and symbol draws.
+_SCALE_RANGE = (np.finfo(float).tiny * 2.0**64, np.finfo(float).max / 2.0**64)
+
+
+def _in_scale_range(values):
+    return bool(np.all((values >= _SCALE_RANGE[0]) & (values <= _SCALE_RANGE[1])))
+
+
 def _surface_faults(cfg):
     """Why the feed beam misses an element of a configured surface size, if
-    it does; every trial at that size would fail.  A size whose radii or
-    attenuations leave the float range fails every trial too: that raises a
-    ``ConfigError`` on ``feed_distance`` when its square leaves the float
-    range, else on ``wavelength``: the element pitch, and the feed distance
-    too when that is null."""
+    it does; every trial at that size would fail.  A size whose
+    ``feed_power * attenuation**2`` leaves ``_SCALE_RANGE`` fails every
+    trial too.  That raises a ``ConfigError`` on the first factor that
+    takes it out: the geometry's ``attenuation**2`` at unit efficiency,
+    then the efficiency (``zeta_db``), then ``feed_power``.  The geometry
+    is ``feed_distance`` when its square leaves the float range, else
+    ``wavelength``: the element pitch, and the feed distance too when that
+    is null."""
     fd = cfg.feed_distance
     geometry = "wavelength" if fd is None or 0 < fd * fd < math.inf else "feed_distance"
+    efficiency = 10.0 ** (cfg.zeta_db / 10.0)
     for m in cfg.m_list:
         try:
             with np.errstate(all="ignore"):
-                attenuation = build_surface(cfg, m).attenuation
+                attenuation = build_surface(replace(cfg, zeta_db=0.0), m).attenuation
         except UnilluminatedElementError as e:
             return f"leaves the M={m} surface partly unlit: {e}"
         except OverflowError:
             attenuation = np.inf
-        if not np.all((attenuation > 0) & (attenuation < np.inf)):
-            raise ConfigError(geometry, f"puts the M={m} surface outside the float range")
+        with np.errstate(all="ignore"):
+            scale = attenuation**2
+            scales = ((geometry, scale), ("zeta_db", scale * efficiency),
+                      ("feed_power", scale * efficiency * cfg.feed_power))
+        for name, value in scales:
+            if not _in_scale_range(value):
+                raise ConfigError(name, f"puts the M={m} surface outside the float range")
     return None
 
 
-def _cell_edge_overflows(cfg):
-    """Why the cell edge overflows the float range, if it does: user
-    distances are drawn through r_max**2 and path gains through
-    (r / r_min)**path_loss_exponent."""
+# Shadowing draws more than this many standard deviations below 0 dB are
+# taken never to occur: the odds are below 1e-23 per user.
+_SHADOW_SIGMAS = 10
+
+
+def _cell_edge_faults(cfg):
+    """Why the cell edge is too far out, if it is.  User distances are drawn
+    through r_max**2, and the receive gains divide by the root of the path
+    gain, whose weakest value, ``(r_max / r_min)**-path_loss_exponent`` at
+    ``-_SHADOW_SIGMAS`` standard deviations of shadowing, must stay above
+    the floor of ``_SCALE_RANGE``."""
     try:
-        fits = (math.isfinite(cfg.r_max ** 2) and math.isfinite(
-            (cfg.r_max / cfg.r_min) ** cfg.path_loss_exponent))
+        weakest = (10.0 ** (-_SHADOW_SIGMAS * cfg.shadow_std_db / 10.0)
+                   / (cfg.r_max / cfg.r_min) ** cfg.path_loss_exponent)
+        fits = math.isfinite(cfg.r_max**2) and weakest >= _SCALE_RANGE[0]
     except OverflowError:
         fits = False
     return not fits and (
-        "is too large: r_max**2 or (r_max / r_min)**path_loss_exponent overflows")
+        "is too large: r_max**2 overflows, or (r_max / r_min)**path_loss_exponent "
+        f"at {_SHADOW_SIGMAS} sigma of shadowing leaves the float range")
 
 
 # (field, objection), checked in order once every field fits its row; an
@@ -299,13 +324,13 @@ def _cell_edge_overflows(cfg):
 # (``_surface_faults`` raises itself where the fault lies in another field)
 _RULES = (
     ("r_max", lambda c: c.r_max <= c.r_min and "must exceed r_min"),
-    ("r_max", _cell_edge_overflows),
     ("shadow_std_db", lambda c: c.shadow_std_db > MAX_SHADOW_STD_DB and
      f"must be at most {MAX_SHADOW_STD_DB} dB"),
+    ("r_max", _cell_edge_faults),
+    ("r_min", lambda c: c.r_min**2 < sys.float_info.min and
+     "is too small: r_min**2 underflows"),
     ("schemes", lambda c: SCHEME_SINGLE_RF not in c.schemes and
      "the single-RF scheme is required (the benchmark power-matches against it)"),
-    ("schemes", lambda c: len(set(c.schemes)) < len(c.schemes) and
-     "lists a scheme twice"),
     ("feed_beamwidth_deg", _surface_faults),
 )
 
@@ -410,10 +435,6 @@ def _run_trial(cfg, num_users, num_elements, b, trial_index, surface, with_recor
 
     record = None
     if with_record:
-        mse = [
-            received_mse(symbols[:, n], gains, channel, x_rf[:, n], cfg.noise_var)
-            for n in range(cfg.num_intervals)
-        ]
         record = {
             "master_seed": cfg.master_seed,
             "seed": trial_seed,
@@ -444,8 +465,6 @@ def _run_trial(cfg, num_users, num_elements, b, trial_index, surface, with_recor
                 "converged": sol.converged.tolist(),
                 "negative_gain_events": sol.negative_gain_events.tolist(),
             },
-            "received_mse_mean": float(np.mean(mse)),
-            "noise_var": cfg.noise_var,
             "results": [vars(r) for r in results],
         }
     return results, record

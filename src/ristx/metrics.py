@@ -31,22 +31,6 @@ def transmit_block(surface, feed_power, w_block, gains):
     return np.sqrt(feed_power) * coeffs[:, None] * np.asarray(w_block) * gains[None, :]
 
 
-def received_mse(symbols, post_gains, channel_matrix, x, noise_var):
-    """Received mean squared error ||s - G H x||^2 + ||G||_F^2 * noise_var."""
-    symbols = np.asarray(symbols)
-    x = np.asarray(x)
-    gains = np.asarray(post_gains)
-    if noise_var < 0.0:
-        raise ValueError("noise_var must be nonnegative")
-    if channel_matrix.shape != (symbols.shape[0], x.shape[0]):
-        raise ValueError(
-            f"channel shape {channel_matrix.shape} does not link "
-            f"{x.shape[0]} inputs to {symbols.shape[0]} users"
-        )
-    residual = symbols - (gains[:, None] * channel_matrix) @ x
-    return float(np.sum(np.abs(residual) ** 2) + np.sum(np.abs(gains) ** 2) * noise_var)
-
-
 def distortion(symbols, post_gains, channel_matrix, x_block):
     """Noise-free per-user distortion, averaged over the block.
 

@@ -183,15 +183,12 @@ class SolverOptions:
     the reference distortion curves, while quantized codebooks are barely
     affected: a discrete codebook changes by at least 2 - 2*cos(pi/2**(B-1))
     per moved element and therefore keeps iterating until (almost) no
-    element moves.  ``max_iterations`` caps the update count.  With
-    ``track_best`` the solver returns the best (w, A) pair it visited
-    instead of the raw last iterate.
+    element moves.  ``max_iterations`` caps the update count.
     """
 
     step_scale: float = 0.5
     change_threshold: float | None = None
     max_iterations: int = 1000
-    track_best: bool = True
 
     def resolved_threshold(self, num_elements):
         if self.change_threshold is not None:
@@ -282,9 +279,10 @@ def _gain_and_objective(eff, w_block, s_block):
 def solve_block(eff, symbols, codebook, options=None):
     """Tune gain and phases for every column of a symbol block.
 
-    Columns share the effective matrix but are otherwise independent
-    problems; batching them turns the per-iteration work into a handful of
-    matrix products.  Columns leave the active set as soon as they stop, so
+    Each column gets the best (w, A) pair it visited, its final iterate
+    included.  Columns share the effective matrix but are otherwise
+    independent problems; batching them turns the per-iteration work into a
+    handful of matrix products.  Columns leave the active set as soon as they stop, so
     results equal those of solving each column on its own to about 1e-14,
     not bit for bit: a BLAS matrix product rounds a column differently
     depending on how many columns the product has.  For a fixed block width
@@ -310,7 +308,6 @@ def solve_block(eff, symbols, codebook, options=None):
     w = w_act = _seed(eff, s_block, codebook)
     s_act = s_block
 
-    last_gain = np.zeros(num_cols)
     iterations = np.zeros(num_cols, dtype=int)
     converged = np.zeros(num_cols, dtype=bool)
     negative_events = np.zeros(num_cols, dtype=int)
@@ -342,7 +339,6 @@ def solve_block(eff, symbols, codebook, options=None):
             w = w_next
         else:
             w[:, active] = w_next
-        last_gain[active] = gains
         iterations[active] = t
 
         done = change < threshold
@@ -365,17 +361,11 @@ def solve_block(eff, symbols, codebook, options=None):
         best_w[:, improved] = w[:, improved]
         best_gain[improved] = gains_fin[improved]
 
-    if options.track_best:
-        out_w, out_gain, out_obj = best_w, best_gain, best_obj
-    else:
-        residual = s_block - (eff.matrix @ w) * last_gain[None, :]
-        out_w, out_gain, out_obj = w, last_gain, _column_norms_sq(residual)
-
     return BlockSolution(
-        w=out_w,
-        gains=out_gain,
+        w=best_w,
+        gains=best_gain,
         iterations=iterations,
-        final_objectives=out_obj,
+        final_objectives=best_obj,
         converged=converged,
         negative_gain_events=negative_events,
     )

@@ -61,10 +61,10 @@ class TestValidateConfig:
             ({"trials": 2.5}, "trials", "2.5 is not a positive whole number"),
             ({"master_seed": True}, "master_seed", "is not a nonnegative whole number"),
             ({"m_list": [True]}, "m_list", "True is not a positive perfect square"),
-            ({"track_best": "no"}, "track_best", "'no' is not true or false"),
+            ({"track_best": "no"}, "track_best", "unknown config field"),
             ({"r_max": float("inf")}, "r_max", "inf is not a positive real"),
             ({"shadow_std_db": float("nan")}, "shadow_std_db", "nan is not a nonnegative real"),
-            ({"noise_var": float("nan")}, "noise_var", "nan is not a nonnegative real"),
+            ({"noise_var": float("nan")}, "noise_var", "unknown config field"),
             ({"feed_distance": float("inf")}, "feed_distance", "is not a positive real or null"),
             ({"change_threshold": float("inf")}, "change_threshold", "is not a positive real"),
             ({"trials": "3"}, "trials", "'3' is not a positive whole number"),
@@ -89,6 +89,12 @@ class TestValidateConfig:
              "puts the M=4 surface outside the float range"),
             ({"wavelength": 1e200, "feed_distance": 1.0}, "wavelength",
              "puts the M=64 surface outside the float range"),
+            ({"wavelength": 1e-300, "feed_distance": 1.0, "m_list": [4], "b_list": [4],
+              "k_list": [2], "trials": 2, "schemes": ["single_rf"]}, "wavelength",
+             "puts the M=4 surface outside the float range"),
+            ({"feed_power": 1e-310, "m_list": [4], "b_list": [4], "k_list": [2],
+              "trials": 2, "schemes": ["single_rf"]}, "feed_power",
+             "puts the M=4 surface outside the float range"),
         ],
         ids=["m_list-scalar", "b_list-scalar", "schemes-string", "b_list-fraction",
              "b_list-bool", "trials-fraction", "master_seed-bool", "m_list-bool",
@@ -99,7 +105,8 @@ class TestValidateConfig:
              "step_scale-nan", "feed_beamwidth_deg-unlit", "r_max-1e100",
              "r_max-1e200", "shadow_std_db-1e5", "shadow_std_db-800",
              "feed_distance-1e160", "wavelength-1e200", "wavelength-1e-170",
-             "wavelength-1e200-feed_distance-set"],
+             "wavelength-1e200-feed_distance-set", "wavelength-1e-300-feed_distance-set",
+             "feed_power-1e-310"],
     )
     def test_mistyped_list_field_named(self, tmp_path, capsys, data, field, message):
         path = write_config(tmp_path, data)
@@ -122,6 +129,13 @@ class TestValidateConfig:
         path.write_text("{not json")
         assert main(["validate-config", str(path)]) == 2
         assert "not valid JSON" in capsys.readouterr().err
+
+    def test_non_utf8_file(self, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{\x00}\x00")
+        assert main(["validate-config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "config field '<file>'" in err and "not valid JSON" in err
 
 
 class TestTrial:

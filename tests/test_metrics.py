@@ -8,7 +8,6 @@ from ristx.metrics import (
     db10,
     distortion,
     papr,
-    received_mse,
     transmit_block,
     trial_result,
 )
@@ -34,35 +33,6 @@ class TestDb10:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             db10(-1e-3)
-
-
-class TestReceivedMse:
-    def test_perfect_fit_no_noise(self):
-        h = np.array([[1.0 + 0j, 0.5j]])
-        x = np.array([1.0 + 0j, 2.0 + 0j])
-        s = h @ x
-        assert received_mse(s, identity_gains(1), h, x, 0.0) == pytest.approx(0.0, abs=1e-30)
-
-    def test_zero_transmit(self):
-        s = np.array([1.0 + 2.0j, -1.0j])
-        h = np.zeros((2, 3), dtype=complex)
-        x = np.zeros(3, dtype=complex)
-        assert received_mse(s, identity_gains(2), h, x, 0.0) == pytest.approx(6.0)
-
-    def test_noise_adds_frobenius_term(self):
-        s = np.array([1.0 + 0j, 1.0 + 0j])
-        h = np.eye(2, dtype=complex)
-        x = np.array([0.5 + 0j, 0.5 + 0j])
-        base = received_mse(s, identity_gains(2), h, x, 0.0)
-        assert received_mse(s, identity_gains(2), h, x, 1.0) == pytest.approx(base + 2.0)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            received_mse(np.ones(2), identity_gains(2), np.eye(3), np.ones(3), 0.0)
-
-    def test_negative_noise_rejected(self):
-        with pytest.raises(ValueError):
-            received_mse(np.ones(1), identity_gains(1), np.eye(1), np.ones(1), -0.1)
 
 
 class TestDistortion:
@@ -101,9 +71,16 @@ class TestDistortion:
         g = rng.uniform(0.5, 2.0, k)
         d = distortion(s, g, h, x)
         per_interval = [
-            received_mse(s[:, i], g, h, x[:, i], 0.0) for i in range(n)
+            np.linalg.norm(s[:, i] - (g[:, None] * h) @ x[:, i]) ** 2 for i in range(n)
         ]
         assert d == pytest.approx(np.mean(per_interval) / k, rel=1e-12)
+
+    def test_channel_shape_mismatch(self):
+        s = np.ones((2, 3), dtype=complex)
+        x = np.ones((3, 3), dtype=complex)
+        for h in (np.eye(3), np.ones((2, 4))):
+            with pytest.raises(ValueError, match="channel dimensions"):
+                distortion(s, identity_gains(2), h, x)
 
     def test_block_length_mismatch(self):
         s = np.ones((1, 3), dtype=complex)

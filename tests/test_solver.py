@@ -390,7 +390,7 @@ class TestSolve:
 
     def test_continuous_near_fixed_point_when_converged(self):
         rng = np.random.default_rng(24)
-        opts = SolverOptions(track_best=False)
+        opts = SolverOptions()
         for _ in range(10):
             eff, s = random_problem(rng, 2, 8)
             sol = solve(eff, s, CONT, opts)
@@ -427,14 +427,6 @@ class TestSolve:
         assert sol.negative_gain_events >= 1
         assert sol.gain == 0.0
         assert sol.final_objective == pytest.approx(2.0)
-
-    def test_last_iterate_mode_differs_only_in_selection(self):
-        rng = np.random.default_rng(26)
-        eff, s = random_problem(rng, 2, 8)
-        best = solve(eff, s, CONT, SolverOptions(track_best=True))
-        last = solve(eff, s, CONT, SolverOptions(track_best=False))
-        assert best.final_objective <= last.final_objective + 1e-12
-        assert best.iterations == last.iterations
 
 
 class TestGradientDirection:
@@ -516,26 +508,24 @@ class TestBlockSolver:
         one = batched.interval(1)
         assert np.array_equal(one.w, batched.w[:, 1])
 
-    @pytest.mark.parametrize("track_best", [True, False])
     @pytest.mark.parametrize("bits", [1, 2, 4])
-    def test_quantized_beta_is_codebook_phase_of_w(self, bits, track_best):
+    def test_quantized_beta_is_codebook_phase_of_w(self, bits):
         # w is read from the unit table: every entry is a codebook point,
         # bitwise
         rng = np.random.default_rng(31 + bits)
         cb = PhaseCodebook.quantized(bits)
         eff = EffectiveMatrix.from_matrix(crandn(rng, 3, 24))
-        sol = solve_block(eff, crandn(rng, 3, 40), cb, SolverOptions(track_best=track_best))
+        sol = solve_block(eff, crandn(rng, 3, 40), cb)
         assert np.all(np.isin(sol.w, cb.unit))
 
-    @pytest.mark.parametrize("track_best", [True, False])
-    def test_no_move_block_reports_its_own_gain_and_objective(self, track_best):
+    def test_no_move_block_reports_its_own_gain_and_objective(self):
         # a 1-bit block that stops at pass 1 on its seed skips the final
         # evaluation; what it reports must still be that evaluation, bitwise
         rng = np.random.default_rng(41)
         cb = PhaseCodebook.quantized(1)
         eff = EffectiveMatrix.from_matrix(crandn(rng, 2, 64))
         block = crandn(rng, 2, 12)
-        sol = solve_block(eff, block, cb, SolverOptions(track_best=track_best))
+        sol = solve_block(eff, block, cb)
         assert np.all(sol.iterations == 1)
         assert np.array_equal(sol.w, _seed(eff, block, cb))
         gains, _, objectives = _gain_and_objective(eff, sol.w, block)
