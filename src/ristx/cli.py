@@ -59,7 +59,8 @@ def _build_parser():
     sweep.add_argument("--seed", type=int, help="override the master seed")
     sweep.add_argument("--trials", type=int, help="override trials per point")
     sweep.add_argument("--workers", type=_int_at_least(1), default=1,
-                       help="worker processes (default 1)")
+                       help="worker processes (default 1), capped at the number "
+                            "of sweep points with trials left")
     sweep.add_argument("--resume", action="store_true",
                        help="continue an interrupted sweep in the same directory")
 

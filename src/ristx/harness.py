@@ -44,7 +44,6 @@ from .solver import (
     MAX_CODEBOOK_BITS,
     EffectiveMatrix,
     PhaseCodebook,
-    SolverOptions,
     solve_block,
 )
 
@@ -108,9 +107,6 @@ class SimConfig:
     r_max: float = 1000.0                # meters
     trials: int = 200
     master_seed: int = 12345
-    step_scale: float = 0.5
-    change_threshold: float | None = None  # None -> solver default (1.25e-3 per element)
-    max_iterations: int = 1000
     schemes: tuple = SCHEMES
 
     def validate(self):
@@ -160,13 +156,6 @@ class SimConfig:
         if unknown:
             raise ConfigError(unknown[0], "unknown config field")
         return cls(**data).validate()
-
-    def solver_options(self):
-        return SolverOptions(
-            step_scale=self.step_scale,
-            change_threshold=self.change_threshold,
-            max_iterations=self.max_iterations,
-        )
 
     def cell(self):
         return Cell(self.r_min, self.r_max, self.path_loss_exponent, self.shadow_std_db)
@@ -245,9 +234,6 @@ _FIELDS = {
     "r_max": (_real, lambda v: v > 0, "a positive real"),
     "trials": (_whole, lambda v: v > 0, "a positive whole number"),
     "master_seed": (_whole, lambda v: v >= 0, "a nonnegative whole number"),
-    "step_scale": (_real, lambda v: 0 < v < 1, "a real in (0, 1)"),
-    "change_threshold": (_real, lambda v: v > 0, "a positive real or null"),
-    "max_iterations": (_whole, lambda v: v > 0, "a positive whole number"),
     "schemes": ([_text], lambda s: s in SCHEMES,
                 f"a scheme ('{SCHEME_SINGLE_RF}' or '{SCHEME_MF}')"),
 }
@@ -404,7 +390,7 @@ def _run_trial(cfg, num_users, num_elements, b, trial_index, surface, with_recor
     symbols = draw_fading(num_users, cfg.num_intervals, symbols_rng)
 
     eff = EffectiveMatrix.build(cfg.feed_power, gains, channel, surface)
-    sol = solve_block(eff, symbols, PhaseCodebook(b), cfg.solver_options())
+    sol = solve_block(eff, symbols, PhaseCodebook(b))
 
     x_rf = transmit_block(surface, cfg.feed_power, sol.w, sol.gains)
     d_rf = distortion(symbols, gains, channel, x_rf)
@@ -607,6 +593,10 @@ def run_sweep(cfg, output_dir, workers=1, resume=False, preset=None):
     trials are listed in the manifest; once all three files are written, a
     ``TrialError`` gives their count and the first message.
 
+    ``workers`` is capped at the number of points that still have trials to
+    run, and a cap of 1 runs them in this process; the manifest records the
+    count used.
+
     Side effect: on glibc the calling process (and the pool workers it
     forks) keeps freed memory in its heap from then on instead of returning
     it to the kernel (see ``_keep_freed_heap``).  This saves the page faults
@@ -625,6 +615,8 @@ def run_sweep(cfg, output_dir, workers=1, resume=False, preset=None):
     kept = rows[: done * len(cfg.schemes)]
     first_trials = [min(cfg.trials, max(0, done - i * cfg.trials))
                     for i in range(len(points))]
+    # a forked pool starts all its workers at once: no more than can be busy
+    workers = max(1, min(workers, sum(f < cfg.trials for f in first_trials)))
 
     failures = []
     pool = contextlib.nullcontext()

@@ -183,7 +183,9 @@ class SolverOptions:
     the reference distortion curves, while quantized codebooks are barely
     affected: a discrete codebook changes by at least 2 - 2*cos(pi/2**(B-1))
     per moved element and therefore keeps iterating until (almost) no
-    element moves.  ``max_iterations`` caps the update count.
+    element moves.  ``max_iterations`` caps the update count.  Sweeps and
+    ``ristx trial`` always run these defaults; a library caller of
+    ``solve_block`` may pass others.
     """
 
     step_scale: float = 0.5

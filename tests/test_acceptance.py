@@ -268,7 +268,7 @@ def test_criterion_09_path_loss_invariance():
         chan = assemble_channel(users, fading)
         gains = compensating_gains(users)
         eff = EffectiveMatrix.build(cfg.feed_power, gains, chan, surface)
-        sol = solve_block(eff, symbols, codebook, cfg.solver_options())
+        sol = solve_block(eff, symbols, codebook)
         x = transmit_block(surface, cfg.feed_power, sol.w, sol.gains)
         values.append(distortion(symbols, gains, chan, x))
     values = np.array(values)

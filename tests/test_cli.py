@@ -66,15 +66,15 @@ class TestValidateConfig:
             ({"shadow_std_db": float("nan")}, "shadow_std_db", "nan is not a nonnegative real"),
             ({"noise_var": float("nan")}, "noise_var", "unknown config field"),
             ({"feed_distance": float("inf")}, "feed_distance", "is not a positive real or null"),
-            ({"change_threshold": float("inf")}, "change_threshold", "is not a positive real"),
+            ({"change_threshold": float("inf")}, "change_threshold", "unknown config field"),
             ({"trials": "3"}, "trials", "'3' is not a positive whole number"),
             ({"num_intervals": "10"}, "num_intervals", "'10' is not a positive whole number"),
             ({"feed_power": "1"}, "feed_power", "'1' is not a positive real"),
             ({"zeta_db": "0"}, "zeta_db", "'0' is not a real <= 0 dB"),
             ({"m_list": ["abc"]}, "m_list", "'abc' is not a positive perfect square"),
             ({"k_list": [None]}, "k_list", "None is not a positive whole number"),
-            ({"max_iterations": 1.5}, "max_iterations", "1.5 is not a positive whole number"),
-            ({"step_scale": float("nan")}, "step_scale", "nan is not a real in (0, 1)"),
+            ({"max_iterations": 1.5}, "max_iterations", "unknown config field"),
+            ({"step_scale": float("nan")}, "step_scale", "unknown config field"),
             ({"feed_beamwidth_deg": 60}, "feed_beamwidth_deg",
              "leaves the M=64 surface partly unlit"),
             ({"r_max": 1e100}, "r_max", "is too large"),

@@ -5,16 +5,11 @@ a finite value in every ``trials.csv`` cell."""
 import csv
 import math
 import tempfile
-from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
-from hypothesis.configuration import set_hypothesis_home_dir
 
 from ristx.errors import ConfigError
 from ristx.harness import TRIAL_COLUMNS, TRIALS_CSV, SimConfig, run_sweep
-
-# Hypothesis caches what it learns under ./.hypothesis unless told otherwise.
-set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "ristx-hypothesis")
 
 
 def log_uniform():
@@ -43,7 +38,7 @@ def configs(draw):
     }
 
 
-@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@settings(max_examples=500)
 @given(configs())
 def test_config_is_rejected_by_field_or_sweeps_finite(data):
     try:

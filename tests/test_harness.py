@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import os
@@ -28,6 +29,12 @@ from ristx.harness import (
 )
 
 
+# Fields of earlier revisions.  A config or an older manifest echo that
+# names one is rejected by that name, whatever its value.
+REMOVED_FIELDS = ("track_best", "noise_var", "step_scale", "change_threshold",
+                  "max_iterations")
+
+
 def tiny_config(**kw):
     base = dict(
         m_list=(4,),
@@ -49,32 +56,29 @@ class TestConfig:
         assert cfg.num_intervals == 100
         assert cfg.wavelength == 0.008
 
+    # pytest would number array and dict values by position: their ids are
+    # pinned, so that a case keeps its id when an earlier one goes
     @pytest.mark.parametrize(
         "field,value",
         [
-            ("k_list", ()),
-            ("m_list", ()),
-            ("m_list", (5,)),
-            ("b_list", (0,)),
+            pytest.param("k_list", (), id="k_list-value0"),
+            pytest.param("m_list", (), id="m_list-value1"),
+            pytest.param("m_list", (5,), id="m_list-value2"),
+            pytest.param("b_list", (0,), id="b_list-value3"),
             ("r_max", 50.0),
             ("trials", 0),
-            ("step_scale", 1.5),
-            ("schemes", ("mf_digital",)),
+            pytest.param("schemes", ("mf_digital",), id="schemes-value7"),
             ("num_intervals", 0),
             ("master_seed", -1),
-            ("b_list", (17,)),
-            ("b_list", (4.5,)),
-            ("b_list", (True,)),
-            ("step_scale", 0.0),
-            ("step_scale", 1.0),
-            ("change_threshold", 0.0),
-            ("max_iterations", 0),
+            pytest.param("b_list", (17,), id="b_list-value10"),
+            pytest.param("b_list", (4.5,), id="b_list-value11"),
+            pytest.param("b_list", (True,), id="b_list-value12"),
             ("r_max", 100.0),
             ("r_min", 0.0),
             ("shadow_std_db", -1.0),
             ("path_loss_exponent", 0.0),
             ("trials", 2.5),
-            ("schemes", ("single_rf", "single_rf")),
+            pytest.param("schemes", ("single_rf", "single_rf"), id="schemes-value22"),
             ("feed_beamwidth_deg", 60.0),
             ("r_max", 1e100),
             ("r_max", 1e200),
@@ -83,15 +87,17 @@ class TestConfig:
             ("feed_distance", 1e160),
             ("wavelength", 1e200),
             ("wavelength", 1e-170),
-            ("wavelength", dict(wavelength=1e-300, feed_distance=1.0)),
+            pytest.param("wavelength", dict(wavelength=1e-300, feed_distance=1.0),
+                         id="wavelength-value31"),
             ("feed_power", 1e-310),
-            ("k_list", (2, 2.0)),
-            ("m_list", (4, 64, 4)),
-            ("b_list", (4, "4")),
-            ("b_list", ("continuous", "inf")),
+            pytest.param("k_list", (2, 2.0), id="k_list-value33"),
+            pytest.param("m_list", (4, 64, 4), id="m_list-value34"),
+            pytest.param("b_list", (4, "4"), id="b_list-value35"),
+            pytest.param("b_list", ("continuous", "inf"), id="b_list-value36"),
             ("zeta_db", -3000.0),
-            ("r_max", dict(r_max=1e100, path_loss_exponent=3.0, shadow_std_db=100.0)),
-            ("r_min", dict(r_min=1e-300, r_max=1e-299)),
+            pytest.param("r_max", dict(r_max=1e100, path_loss_exponent=3.0,
+                                       shadow_std_db=100.0), id="r_max-value38"),
+            pytest.param("r_min", dict(r_min=1e-300, r_max=1e-299), id="r_min-value39"),
         ],
     )
     def test_invalid_fields_name_the_field(self, field, value):
@@ -105,7 +111,8 @@ class TestConfig:
         "value", [None, True, "x", 2.5, float("nan"), float("inf"), [], {}],
         ids=["null", "true", "string", "fraction", "nan", "inf", "array", "object"],
     )
-    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(SimConfig)])
+    @pytest.mark.parametrize(
+        "field", [f.name for f in dataclasses.fields(SimConfig)] + list(REMOVED_FIELDS))
     def test_any_json_value_is_accepted_or_named(self, field, value):
         try:
             cfg = SimConfig.from_dict({field: value})
@@ -283,6 +290,36 @@ class TestSweep:
             (tmp_path / "w2" / TRIALS_CSV).read_bytes()
         assert (tmp_path / "w1" / SUMMARY_CSV).read_bytes() == \
             (tmp_path / "w2" / SUMMARY_CSV).read_bytes()
+
+    @pytest.mark.parametrize(
+        "changes,workers,resume,pool_sizes",
+        [({"k_list": (2,)}, 3, False, [2]),
+         ({"b_list": (1,), "k_list": (2,)}, 2, False, []),
+         ({"k_list": (2,)}, 2, True, [])],
+        ids=["2-points-3-workers", "1-point-2-workers", "finished-resume-2-workers"],
+    )
+    def test_pool_never_outnumbers_points_to_run(self, tmp_path, monkeypatch, changes,
+                                                 workers, resume, pool_sizes):
+        created = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                created.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        cfg = tiny_config(**changes)
+        run_sweep(cfg, tmp_path / "serial")
+        out = tmp_path / "pool"
+        if resume:
+            out.mkdir()
+            (out / TRIALS_CSV).write_bytes((tmp_path / "serial" / TRIALS_CSV).read_bytes())
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        run_sweep(cfg, out, workers=workers, resume=resume)
+        assert created == pool_sizes
+        manifest = json.loads((out / MANIFEST_JSON).read_text())
+        assert manifest["workers"] == (pool_sizes or [1])[0]
+        for name in (TRIALS_CSV, SUMMARY_CSV):
+            assert (out / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
 
     def test_manifest_round_trip_reproduces_dataset(self, tmp_path):
         cfg = tiny_config()

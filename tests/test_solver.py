@@ -241,6 +241,18 @@ class TestInit:
         w = _seed(eff, np.array([1.0 + 0j]), PhaseCodebook.quantized(1))
         assert np.allclose(w, [1.0, -1.0], atol=1e-15)
 
+    @pytest.mark.parametrize("bits", [1, 2, 4, None])
+    def test_exact_zero_takes_phase_zero(self, bits):
+        # pinv @ s is [1, 0]: the seed gives its exact zero phase 0, where
+        # quantize_phases alone would send it to the first phase, -pi
+        cb = PhaseCodebook(bits)
+        eff = EffectiveMatrix.from_matrix(np.array([[1.0, 0.0]]))
+        s = np.array([1.0 + 0j])
+        assert np.array_equal(eff.pseudo_inverse @ s, [1.0, 0.0])
+        assert np.array_equal(_seed(eff, s, cb), [1.0, 1.0])
+        assert np.allclose(quantize_phases(eff.pseudo_inverse @ s, cb), [1.0, -1.0],
+                           atol=1e-15)
+
 
 class TestGain:
     def test_exact_fit(self):
