@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from .errors import ConfigError
 from .harness import (
@@ -91,17 +92,9 @@ def _cmd_sweep(args):
     if not args.preset and not args.config:
         print("error: a config file or --preset is required", file=sys.stderr)
         return USAGE_EXIT
-    if args.preset:
-        cfg = preset_config(args.preset, trials=args.trials, master_seed=args.seed)
-    else:
-        cfg = _load_config(args.config)
-        overrides = {}
-        if args.trials is not None:
-            overrides["trials"] = args.trials
-        if args.seed is not None:
-            overrides["master_seed"] = args.seed
-        if overrides:
-            cfg = SimConfig.from_dict(cfg.to_dict() | overrides)
+    cfg = preset_config(args.preset) if args.preset else _load_config(args.config)
+    overrides = {"trials": args.trials, "master_seed": args.seed}
+    cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
     run_sweep(cfg, args.output, workers=args.workers, resume=args.resume,
               preset=args.preset)
     return 0

@@ -17,7 +17,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -92,7 +92,6 @@ SUMMARY_COLUMNS = ("scheme", "K", "M", "B", "n_trials", *_SUMMARY_STATS)
 class SimConfig:
     """Full experiment configuration; defaults match the reference setup."""
 
-    feed_power: float = 1.0
     wavelength: float = 0.008            # meters
     m_list: tuple = (64, 121, 225)
     feed_distance: float | None = None   # None -> wavelength * sqrt(M / pi)
@@ -109,35 +108,34 @@ class SimConfig:
     master_seed: int = 12345
     schemes: tuple = SCHEMES
 
-    def validate(self):
-        """This config in canonical form (ints, floats, tuples, schemes in
-        ``SCHEMES`` order), once every field fits its row of ``_FIELDS``, no
-        array lists an entry twice and no rule of ``_RULES`` objects; else a
-        ``ConfigError`` names the first field that does not."""
-        values = {}
+    def __post_init__(self):
+        """Store each field in canonical form (ints, floats, tuples, schemes
+        in ``SCHEMES`` order) if it fits its row of ``_FIELDS``, no array
+        lists an entry twice and no rule of ``_RULES`` objects; else raise a
+        ``ConfigError`` naming the first field that does not.  This runs on
+        every construction, ``dataclasses.replace`` included."""
         for name, spec in self.__dataclass_fields__.items():
             kind, ok, description = _FIELDS[name]
             value = getattr(self, name)
             if value is None and spec.default is None:
-                values[name] = None
-            elif isinstance(kind, list):
+                continue
+            if isinstance(kind, list):
                 if not isinstance(value, (list, tuple)):
                     raise ConfigError(name, "must be a JSON array")
                 if not value:
                     raise ConfigError(name, "must not be empty")
-                items = tuple(_fit(name, kind[0], ok, description, v) for v in value)
-                if len(set(items)) < len(items):
+                value = tuple(_fit(name, kind[0], ok, description, v) for v in value)
+                if len(set(value)) < len(value):
                     raise ConfigError(name, "lists an entry twice")
-                values[name] = items
             else:
-                values[name] = _fit(name, kind, ok, description, value)
-        values["schemes"] = tuple(sorted(values["schemes"], key=SCHEMES.index))
-        cfg = SimConfig(**values)
+                value = _fit(name, kind, ok, description, value)
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "schemes",
+                           tuple(sorted(self.schemes, key=SCHEMES.index)))
         for name, objection in _RULES:
-            message = objection(cfg)
+            message = objection(self)
             if message:
                 raise ConfigError(name, message)
-        return cfg
 
     def to_dict(self):
         """JSON-ready fields: arrays as lists, the continuous codebook as
@@ -155,7 +153,7 @@ class SimConfig:
         unknown = [k for k in data if k not in _FIELDS]
         if unknown:
             raise ConfigError(unknown[0], "unknown config field")
-        return cls(**data).validate()
+        return cls(**data)
 
     def cell(self):
         return Cell(self.r_min, self.r_max, self.path_loss_exponent, self.shadow_std_db)
@@ -216,7 +214,6 @@ def _fit(name, kind, ok, description, value):
 # written [item kind]; its constraint and description apply to every entry.
 # A null value is allowed exactly where the default is None.
 _FIELDS = {
-    "feed_power": (_real, lambda v: v > 0, "a positive real"),
     "wavelength": (_real, lambda v: v > 0, "a positive real"),
     "m_list": ([_whole], lambda m: m >= 1 and math.isqrt(m) ** 2 == m,
                "a positive perfect square"),
@@ -240,7 +237,7 @@ _FIELDS = {
 
 
 # The normal float range less a headroom of 2**64 at each end, where the
-# scale feed_power * attenuation**2 of the effective matrix must lie.  A
+# scale attenuation**2 of the effective matrix must lie.  A
 # trial sums K * M such squares into ||Heff @ w||^2 and its spectral norm,
 # and the squared feed gain reaches 1 / (eps * scale) before the solver's
 # zero-norm guard stops it; 2**64 covers both (1 / eps is 2**52) with room
@@ -255,28 +252,28 @@ def _in_scale_range(values):
 def _surface_faults(cfg):
     """Why the feed beam misses an element of a configured surface size, if
     it does; every trial at that size would fail.  A size whose
-    ``feed_power * attenuation**2`` leaves ``_SCALE_RANGE`` fails every
-    trial too.  That raises a ``ConfigError`` on the first factor that
-    takes it out: the geometry's ``attenuation**2`` at unit efficiency,
-    then the efficiency (``zeta_db``), then ``feed_power``.  The geometry
-    is ``feed_distance`` when its square leaves the float range, else
-    ``wavelength``: the element pitch, and the feed distance too when that
-    is null."""
+    ``attenuation**2`` leaves ``_SCALE_RANGE`` fails every trial too.  That
+    raises a ``ConfigError`` on the first factor that takes it out: the
+    geometry's ``attenuation**2`` at unit efficiency, then the efficiency
+    (``zeta_db``).  The geometry is ``feed_distance`` when its square
+    leaves the float range, else ``wavelength``: the element pitch, and the
+    feed distance too when that is null."""
     fd = cfg.feed_distance
     geometry = "wavelength" if fd is None or 0 < fd * fd < math.inf else "feed_distance"
     efficiency = 10.0 ** (cfg.zeta_db / 10.0)
     for m in cfg.m_list:
         try:
             with np.errstate(all="ignore"):
-                attenuation = build_surface(replace(cfg, zeta_db=0.0), m).attenuation
+                attenuation = propagation_coeffs(
+                    m, cfg.wavelength, cfg.feed_distance_for(m),
+                    math.radians(cfg.feed_beamwidth_deg), 1.0).attenuation
         except UnilluminatedElementError as e:
             return f"leaves the M={m} surface partly unlit: {e}"
         except OverflowError:
             attenuation = np.inf
         with np.errstate(all="ignore"):
             scale = attenuation**2
-            scales = ((geometry, scale), ("zeta_db", scale * efficiency),
-                      ("feed_power", scale * efficiency * cfg.feed_power))
+            scales = ((geometry, scale), ("zeta_db", scale * efficiency))
         for name, value in scales:
             if not _in_scale_range(value):
                 raise ConfigError(name, f"puts the M={m} surface outside the float range")
@@ -389,13 +386,13 @@ def _run_trial(cfg, num_users, num_elements, b, trial_index, surface, with_recor
     # Information symbols share the i.i.d. unit-variance complex normal recipe.
     symbols = draw_fading(num_users, cfg.num_intervals, symbols_rng)
 
-    eff = EffectiveMatrix.build(cfg.feed_power, gains, channel, surface)
+    eff = EffectiveMatrix.build(gains, channel, surface)
     sol = solve_block(eff, symbols, PhaseCodebook(b))
 
-    x_rf = transmit_block(surface, cfg.feed_power, sol.w, sol.gains)
+    x_rf = transmit_block(surface, sol.w, sol.gains)
     d_rf = distortion(symbols, gains, channel, x_rf)
-    p_out = average_power(sol.gains, cfg.feed_power)
-    papr_rf = papr(sol.gains, cfg.feed_power)
+    p_out = average_power(sol.gains)
+    papr_rf = papr(sol.gains)
     results = [
         trial_result(
             SCHEME_SINGLE_RF, d_rf, p_out, papr_rf, trial_seed,
@@ -602,7 +599,6 @@ def run_sweep(cfg, output_dir, workers=1, resume=False, preset=None):
     it to the kernel (see ``_keep_freed_heap``).  This saves the page faults
     of re-allocating every trial's arrays; the setting is not undone.
     """
-    cfg = cfg.validate()
     _keep_freed_heap()
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)

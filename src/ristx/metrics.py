@@ -24,11 +24,11 @@ def db10(value):
     return float(10.0 * np.log10(value)), False
 
 
-def transmit_block(surface, feed_power, w_block, gains):
-    """(M, N) block x(n) = gain(n) * sqrt(P) * diag(surface) @ w(n)."""
+def transmit_block(surface, w_block, gains):
+    """(M, N) block x(n) = gain(n) * diag(surface) @ w(n)."""
     gains = np.asarray(gains, dtype=float)
     coeffs = surface.complex_coeffs()
-    return np.sqrt(feed_power) * coeffs[:, None] * np.asarray(w_block) * gains[None, :]
+    return coeffs[:, None] * np.asarray(w_block) * gains[None, :]
 
 
 def distortion(symbols, post_gains, channel_matrix, x_block):
@@ -51,22 +51,22 @@ def distortion(symbols, post_gains, channel_matrix, x_block):
     return float(np.sum(np.abs(residual) ** 2) / (num_users * num_intervals))
 
 
-def average_power(gains, feed_power):
-    """Average transmit power (1/N) * sum_n gain(n)^2 * P."""
+def average_power(gains):
+    """Average transmit power (1/N) * sum_n gain(n)^2."""
     gains = np.asarray(gains, dtype=float)
     if gains.size < 1:
         raise ValueError("need at least one interval")
-    return float(np.mean(np.abs(gains) ** 2) * feed_power)
+    return float(np.mean(np.abs(gains) ** 2))
 
 
-def papr(gains, feed_power):
-    """Peak-to-average power ratio max_n gain(n)^2 * P / P_avg, >= 1."""
+def papr(gains):
+    """Peak-to-average power ratio max_n gain(n)^2 / P_avg, >= 1."""
     gains = np.asarray(gains, dtype=float)
     if gains.size < 1:
         raise ValueError("need at least one interval")
     if not np.any(gains):
         raise DegenerateBlockError("all feed gains are zero")
-    powers = np.abs(gains) ** 2 * feed_power
+    powers = np.abs(gains) ** 2
     return float(np.max(powers) / np.mean(powers))
 
 

@@ -3,7 +3,7 @@
 Per transmission interval the transmitter needs a unit-modulus phase vector
 ``w`` (entries restricted to a discrete or continuous phase codebook) and a
 real amplification gain ``A`` minimizing ``||s - A * Heff @ w||^2``, where
-``Heff`` collects feed power, receive gains, channel and surface propagation.
+``Heff`` collects receive gains, channel and surface propagation.
 The tuner is a projected gradient descent: closed-form gain update, gradient
 step on the unconstrained transmit vector, projection onto the codebook by
 nearest wrapped phase.
@@ -19,6 +19,8 @@ iterate is a codebook point bit for bit.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -142,10 +144,10 @@ def _bracket_index(angles, codebook):
 class EffectiveMatrix:
     """Effective regressor matrix with its reusable factorizations.
 
-    The matrix is sqrt(P) * diag(receive gains) @ channel @ diag(surface
-    coefficients); its pseudo-inverse seeds the per-interval iteration and
-    its squared spectral norm scales every step size, so both are computed
-    once per channel realization and cached here.
+    The matrix is diag(receive gains) @ channel @ diag(surface coefficients);
+    its pseudo-inverse seeds the per-interval iteration and its squared
+    spectral norm scales every step size, so both are computed once per
+    channel realization and cached here.
     """
 
     matrix: np.ndarray
@@ -162,14 +164,12 @@ class EffectiveMatrix:
         return cls(matrix, norm_sq, np.linalg.pinv(matrix))
 
     @classmethod
-    def build(cls, feed_power, post_gains, channel_matrix, surface):
+    def build(cls, post_gains, channel_matrix, surface):
         """Assemble from the physical factors of one realization."""
-        if not feed_power > 0.0:
-            raise ValueError("feed_power must be positive")
         coeffs = surface.complex_coeffs()
         gains = np.asarray(post_gains)
         scaled = gains[:, None] * np.asarray(channel_matrix)
-        return cls.from_matrix(np.sqrt(feed_power) * scaled * coeffs[None, :])
+        return cls.from_matrix(scaled * coeffs[None, :])
 
 
 @dataclass(frozen=True)
@@ -183,7 +183,8 @@ class SolverOptions:
     the reference distortion curves, while quantized codebooks are barely
     affected: a discrete codebook changes by at least 2 - 2*cos(pi/2**(B-1))
     per moved element and therefore keeps iterating until (almost) no
-    element moves.  ``max_iterations`` caps the update count.  Sweeps and
+    element moves.  ``max_iterations`` (>= 1) caps the update count, and
+    construction raises ``ValueError`` on a knob outside its range.  Sweeps and
     ``ristx trial`` always run these defaults; a library caller of
     ``solve_block`` may pass others.
     """
@@ -191,6 +192,16 @@ class SolverOptions:
     step_scale: float = 0.5
     change_threshold: float | None = None
     max_iterations: int = 1000
+
+    def __post_init__(self):
+        t, n = self.change_threshold, self.max_iterations
+        if not (isinstance(self.step_scale, numbers.Real) and 0 < self.step_scale < 1):
+            raise ValueError("step_scale must be a real in (0, 1)")
+        if t is not None and (isinstance(t, bool) or not isinstance(t, numbers.Real)
+                              or not 0 < t < math.inf):
+            raise ValueError("change_threshold must be None or a finite real > 0")
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise ValueError("max_iterations must be an int >= 1, not a bool")
 
     def resolved_threshold(self, num_elements):
         if self.change_threshold is not None:
@@ -266,8 +277,7 @@ def _gain_and_objective(eff, w_block, s_block):
 
     ``||Heff @ w||^2`` counts as zero up to eps times its largest value
     over unit-modulus ``w``, ``spectral_norm_sq * M``, so that scaling
-    ``Heff`` (by ``feed_power`` or the surface attenuation) leaves the
-    guard where it was.
+    ``Heff`` (by the surface attenuation) leaves the guard where it was.
     """
     projected = eff.matrix @ w_block
     denom = _column_norms_sq(projected)

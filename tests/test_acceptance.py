@@ -267,9 +267,9 @@ def test_criterion_09_path_loss_invariance():
         users = draw_users(k, cell, np.random.default_rng(9000 + draw))
         chan = assemble_channel(users, fading)
         gains = compensating_gains(users)
-        eff = EffectiveMatrix.build(cfg.feed_power, gains, chan, surface)
+        eff = EffectiveMatrix.build(gains, chan, surface)
         sol = solve_block(eff, symbols, codebook)
-        x = transmit_block(surface, cfg.feed_power, sol.w, sol.gains)
+        x = transmit_block(surface, sol.w, sol.gains)
         values.append(distortion(symbols, gains, chan, x))
     values = np.array(values)
     spread = float(np.max(np.abs(values - values[0])) / values[0])

@@ -69,7 +69,7 @@ class TestValidateConfig:
             ({"change_threshold": float("inf")}, "change_threshold", "unknown config field"),
             ({"trials": "3"}, "trials", "'3' is not a positive whole number"),
             ({"num_intervals": "10"}, "num_intervals", "'10' is not a positive whole number"),
-            ({"feed_power": "1"}, "feed_power", "'1' is not a positive real"),
+            ({"feed_power": "1"}, "feed_power", "unknown config field"),
             ({"zeta_db": "0"}, "zeta_db", "'0' is not a real <= 0 dB"),
             ({"m_list": ["abc"]}, "m_list", "'abc' is not a positive perfect square"),
             ({"k_list": [None]}, "k_list", "None is not a positive whole number"),
@@ -94,7 +94,7 @@ class TestValidateConfig:
              "puts the M=4 surface outside the float range"),
             ({"feed_power": 1e-310, "m_list": [4], "b_list": [4], "k_list": [2],
               "trials": 2, "schemes": ["single_rf"]}, "feed_power",
-             "puts the M=4 surface outside the float range"),
+             "unknown config field"),
         ],
         ids=["m_list-scalar", "b_list-scalar", "schemes-string", "b_list-fraction",
              "b_list-bool", "trials-fraction", "master_seed-bool", "m_list-bool",
@@ -239,20 +239,25 @@ class TestSweep:
         assert len(manifest["failures"]) == 1
         assert "trial_index=0: injected" in manifest["failures"][0]
 
-    def test_tiny_feed_power_sweeps_like_unit_power(self, tmp_path):
-        # ||Heff @ w||^2 scales with feed_power, the distortion does not
+    def test_tiny_efficiency_sweeps_like_unit_efficiency(self, tmp_path):
+        # ||Heff @ w||^2 scales with the element efficiency, the distortion
+        # does not, and the feed gain makes up for it in P_out
         base = {"m_list": [64], "b_list": [4], "k_list": [2], "trials": 2,
                 "schemes": ["single_rf"]}
-        d_db = []
-        for power in (1e-20, 1.0):
-            path = write_config(tmp_path, base | {"feed_power": power})
-            out = tmp_path / f"out-{power}"
+        columns = {}
+        for zeta_db in (-200.0, 0.0):
+            path = write_config(tmp_path, base | {"zeta_db": zeta_db})
+            out = tmp_path / f"out-{zeta_db}"
             assert main(["sweep", path, "-o", str(out)]) == 0
-            rows = (out / TRIALS_CSV).read_text().splitlines()
-            column = rows[0].split(",").index("D_dB")
-            d_db.append([float(row.split(",")[column]) for row in rows[1:]])
-        assert len(d_db[0]) == 2
-        assert d_db[0] == pytest.approx(d_db[1], rel=0, abs=1e-9)
+            header, *rows = (out / TRIALS_CSV).read_text().splitlines()
+            for name in ("D_dB", "P_out"):
+                i = header.split(",").index(name)
+                columns[name, zeta_db] = [float(row.split(",")[i]) for row in rows]
+        assert len(columns["D_dB", 0.0]) == 2
+        assert columns["D_dB", -200.0] == pytest.approx(columns["D_dB", 0.0],
+                                                        rel=0, abs=1e-9)
+        assert columns["P_out", -200.0] == pytest.approx(
+            [1e20 * p for p in columns["P_out", 0.0]], rel=1e-9)
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         cfg = tiny_config_dict()

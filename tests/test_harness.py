@@ -32,7 +32,7 @@ from ristx.harness import (
 # Fields of earlier revisions.  A config or an older manifest echo that
 # names one is rejected by that name, whatever its value.
 REMOVED_FIELDS = ("track_best", "noise_var", "step_scale", "change_threshold",
-                  "max_iterations")
+                  "max_iterations", "feed_power")
 
 
 def tiny_config(**kw):
@@ -45,12 +45,12 @@ def tiny_config(**kw):
         master_seed=99,
     )
     base.update(kw)
-    return SimConfig(**base).validate()
+    return SimConfig(**base)
 
 
 class TestConfig:
     def test_defaults_are_valid(self):
-        cfg = SimConfig().validate()
+        cfg = SimConfig()
         assert cfg.m_list == (64, 121, 225)
         assert cfg.k_list == tuple(range(2, 33, 2))
         assert cfg.num_intervals == 100
@@ -89,7 +89,6 @@ class TestConfig:
             ("wavelength", 1e-170),
             pytest.param("wavelength", dict(wavelength=1e-300, feed_distance=1.0),
                          id="wavelength-value31"),
-            ("feed_power", 1e-310),
             pytest.param("k_list", (2, 2.0), id="k_list-value33"),
             pytest.param("m_list", (4, 64, 4), id="m_list-value34"),
             pytest.param("b_list", (4, "4"), id="b_list-value35"),
@@ -104,7 +103,7 @@ class TestConfig:
         # a dict value holds several fields to change; any other is ``field``'s
         changes = value if isinstance(value, dict) else {field: value}
         with pytest.raises(ConfigError) as err:
-            dataclasses.replace(SimConfig(), **changes).validate()
+            dataclasses.replace(SimConfig(), **changes)
         assert err.value.field == field
 
     @pytest.mark.parametrize(
@@ -119,16 +118,28 @@ class TestConfig:
         except ConfigError as err:
             assert err.field == field
         else:
-            assert cfg.validate() == cfg
+            assert dataclasses.replace(cfg) == cfg
+
+    @pytest.mark.parametrize(
+        "changes", [{"trials": 2.5}, {"shadow_std_db": 1e5}, {"schemes": ("mf_digital",)}],
+        ids=["trials", "shadow_std_db", "schemes"],
+    )
+    def test_construction_names_the_field(self, changes):
+        # no invalid config exists for run_trial to see
+        (field,) = changes
+        for build in (SimConfig, lambda **kw: dataclasses.replace(SimConfig(), **kw)):
+            with pytest.raises(ConfigError) as err:
+                build(**changes)
+            assert err.value.field == field
 
     def test_schemes_stored_in_trial_order(self):
-        cfg = SimConfig(schemes=("mf_digital", "single_rf")).validate()
+        cfg = SimConfig(schemes=("mf_digital", "single_rf"))
         assert cfg.schemes == ("single_rf", "mf_digital")
 
     def test_unlit_surface_names_its_size(self):
         # a 60 degree beam misses the corner elements of every default size
         with pytest.raises(ConfigError, match="M=64") as err:
-            SimConfig(feed_beamwidth_deg=60.0).validate()
+            SimConfig(feed_beamwidth_deg=60.0)
         assert err.value.field == "feed_beamwidth_deg"
 
     def test_whole_floats_become_ints(self):

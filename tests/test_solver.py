@@ -573,19 +573,12 @@ class TestEffectiveMatrix:
             phase=np.array([0.0, np.pi / 2]),
         )
         chan = np.array([[1.0 + 0j, 2.0 + 0j]])
-        eff = EffectiveMatrix.build(4.0, np.array([3.0]), chan, surface)
-        expected = 2.0 * 3.0 * chan * (surface.attenuation * np.exp(1j * surface.phase))
+        eff = EffectiveMatrix.build(np.array([3.0]), chan, surface)
+        expected = 3.0 * chan * (surface.attenuation * np.exp(1j * surface.phase))
         assert np.allclose(eff.matrix, expected, rtol=1e-15)
         assert eff.spectral_norm_sq == pytest.approx(
             np.linalg.norm(eff.matrix, 2) ** 2, rel=1e-12
         )
-
-    def test_bad_power(self):
-        from ristx.geometry import SurfaceModel
-
-        surface = SurfaceModel(np.array([1.0]), np.array([0.0]))
-        with pytest.raises(ValueError):
-            EffectiveMatrix.build(0.0, np.array([1.0]), np.array([[1.0 + 0j]]), surface)
 
 
 class TestSolverOptions:
@@ -593,3 +586,25 @@ class TestSolverOptions:
         opts = SolverOptions()
         assert opts.resolved_threshold(64) == pytest.approx(0.08)
         assert SolverOptions(change_threshold=0.5).resolved_threshold(64) == 0.5
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("step_scale", -5.0), ("step_scale", 0.0), ("step_scale", 1.0),
+            ("step_scale", float("nan")), ("step_scale", float("inf")),
+            ("step_scale", True), ("step_scale", "0.5"),
+            ("change_threshold", -1.0), ("change_threshold", 0.0),
+            ("change_threshold", float("nan")), ("change_threshold", float("inf")),
+            ("change_threshold", True), ("change_threshold", "0.1"),
+            ("max_iterations", 0), ("max_iterations", -3), ("max_iterations", True),
+            ("max_iterations", 2.5), ("max_iterations", 10.0),
+        ],
+    )
+    def test_validation(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SolverOptions(**{field: value})
+
+    def test_accepted_edges(self):
+        opts = SolverOptions(step_scale=np.float64(0.999), change_threshold=1e-300,
+                             max_iterations=np.int64(1))
+        assert opts.max_iterations == 1
