@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateDirectionError
-
 
 def mf_precode_block(channel_matrix, symbol_block, target_powers):
     """Matched-filter transmit block with exact powers ||x(n)||^2 = target_powers[n].
@@ -28,7 +26,7 @@ def mf_precode_block(channel_matrix, symbol_block, target_powers):
     norms_sq = np.einsum("ij,ij->j", directions.conj(), directions).real
     degenerate = norms_sq == 0.0
     if np.any(degenerate & (target_powers > 0.0)):
-        raise DegenerateDirectionError("H^H s vanishes; cannot meet target power")
+        raise ValueError("H^H s vanishes; cannot meet target power")
     scale = np.sqrt(np.where(degenerate, 0.0, target_powers / np.where(degenerate, 1.0, norms_sq)))
     return directions * scale[None, :], scale
 

@@ -13,16 +13,6 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class Cell:
-    """Large-scale propagation parameters of the single cell."""
-
-    r_min: float            # minimal (reference) distance, meters
-    r_max: float            # outer radius, meters
-    path_loss_exponent: float
-    shadow_std_db: float
-
-
-@dataclass(frozen=True)
 class Users:
     """Large-scale state of the K users of one channel realization."""
 
@@ -31,23 +21,24 @@ class Users:
     path_gain: np.ndarray  # (K,) shadowing / (distance / r_min)**exponent
 
 
-def draw_users(num_users, cell, rng):
+def draw_users(num_users, cfg, rng):
     """Draw user positions and shadowing for one channel realization.
 
-    Distances follow the uniform-area density on the annulus
-    [r_min, r_max] (pdf proportional to r); shadowing is log-normal with
-    zero dB mean and ``shadow_std_db`` dB standard deviation.
+    Distances follow the uniform-area density on the annulus [cfg.r_min,
+    cfg.r_max] (pdf proportional to r), path gains fall off with exponent
+    ``cfg.path_loss_exponent``, and shadowing is log-normal with zero dB mean
+    and ``cfg.shadow_std_db`` dB standard deviation.
     """
     if num_users < 1:
         raise ValueError("num_users must be positive")
     u = rng.random(num_users)
-    distance = np.sqrt(cell.r_min**2 + u * (cell.r_max**2 - cell.r_min**2))
-    shadow_db = rng.normal(0.0, cell.shadow_std_db, num_users)
+    distance = np.sqrt(cfg.r_min**2 + u * (cfg.r_max**2 - cfg.r_min**2))
+    shadow_db = rng.normal(0.0, cfg.shadow_std_db, num_users)
     shadowing = 10.0 ** (shadow_db / 10.0)
     # Python's float power, one user at a time: numpy's vectorised ``**``
     # may round the last bit differently, which would change the datasets.
     path_gain = np.array([
-        s / (d / cell.r_min) ** cell.path_loss_exponent
+        s / (d / cfg.r_min) ** cfg.path_loss_exponent
         for d, s in zip(distance.tolist(), shadowing.tolist())
     ])
     return Users(distance, shadowing, path_gain)

@@ -5,18 +5,6 @@ class UnilluminatedElementError(ValueError):
     """A surface element falls outside the feed pattern (zero incident power)."""
 
 
-class DegenerateSymbolError(ValueError):
-    """The symbol vector of an interval is identically zero."""
-
-
-class DegenerateDirectionError(ValueError):
-    """A direction used for scaling has (numerically) zero norm."""
-
-
-class DegenerateBlockError(ValueError):
-    """A whole transmit block carries zero power."""
-
-
 class ConfigError(ValueError):
     """Invalid simulation configuration; `field` names the offending entry."""
 

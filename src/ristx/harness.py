@@ -24,13 +24,7 @@ import numpy as np
 
 from . import __version__
 from .baseline import mf_post_gains, mf_precode_block
-from .channel import (
-    Cell,
-    assemble_channel,
-    compensating_gains,
-    draw_fading,
-    draw_users,
-)
+from .channel import assemble_channel, compensating_gains, draw_fading, draw_users
 from .errors import ConfigError, UnilluminatedElementError
 from .geometry import propagation_coeffs
 from .metrics import (
@@ -154,9 +148,6 @@ class SimConfig:
         if unknown:
             raise ConfigError(unknown[0], "unknown config field")
         return cls(**data)
-
-    def cell(self):
-        return Cell(self.r_min, self.r_max, self.path_loss_exponent, self.shadow_std_db)
 
     def feed_distance_for(self, num_elements):
         if self.feed_distance is not None:
@@ -379,7 +370,7 @@ def _run_trial(cfg, num_users, num_elements, b, trial_index, surface, with_recor
     trial_seed, users_rng, fading_rng, symbols_rng = derive_trial_streams(
         cfg.master_seed, num_users, num_elements, b, trial_index
     )
-    users = draw_users(num_users, cfg.cell(), users_rng)
+    users = draw_users(num_users, cfg, users_rng)
     fading = draw_fading(num_users, num_elements, fading_rng)
     channel = assemble_channel(users, fading)
     gains = compensating_gains(users)
@@ -548,6 +539,25 @@ def _whole_trials(rows, cfg, points):
     return len(rows) // len(cfg.schemes)
 
 
+def _check_manifest_config(path, cfg):
+    """``ValueError`` unless the manifest at ``path`` echoes ``cfg``: no physics
+    field enters the plan keys, so rows of another config pass that check."""
+    try:
+        echo = json.loads(path.read_text(encoding="utf-8"))["config"]
+        same = SimConfig.from_dict(echo) == cfg
+    except (ValueError, KeyError, TypeError):
+        same = False
+    if not same:
+        raise ValueError(f"{path} was written under another config; "
+                         "use a fresh output directory")
+
+
+def _write_json(path, data):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=2)
+        fh.write("\n")
+
+
 # glibc mallopt parameters (malloc.h)
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
@@ -586,9 +596,11 @@ def run_sweep(cfg, output_dir, workers=1, resume=False, preset=None):
     flushed point by point, whatever the worker count), ``summary.csv``
     (per-point aggregates) and ``manifest.json``.  Returns the summary rows.
     With ``resume``, the whole trials of an existing ``trials.csv`` are kept
-    if it is a prefix of this sweep's plan (else ``ValueError``).  Failed
-    trials are listed in the manifest; once all three files are written, a
-    ``TrialError`` gives their count and the first message.
+    if it is a prefix of this sweep's plan and an existing ``manifest.json``
+    echoes this config (else ``ValueError``).  The manifest is written before
+    the first trial, with ``duration_seconds`` null, and again at the end.
+    Failed trials are listed in the manifest; once all three files are
+    written, a ``TrialError`` gives their count and the first message.
 
     ``workers`` is capped at the number of points that still have trials to
     run, and a cap of 1 runs them in this process; the manifest records the
@@ -608,6 +620,9 @@ def run_sweep(cfg, output_dir, workers=1, resume=False, preset=None):
     points = sweep_points(cfg)
     rows = _read_existing_rows(trials_path) if resume and trials_path.exists() else []
     done = _whole_trials(rows, cfg, points)
+    manifest_path = out / MANIFEST_JSON
+    if resume and manifest_path.exists():
+        _check_manifest_config(manifest_path, cfg)
     kept = rows[: done * len(cfg.schemes)]
     first_trials = [min(cfg.trials, max(0, done - i * cfg.trials))
                     for i in range(len(points))]
@@ -615,6 +630,19 @@ def run_sweep(cfg, output_dir, workers=1, resume=False, preset=None):
     workers = max(1, min(workers, sum(f < cfg.trials for f in first_trials)))
 
     failures = []
+    manifest = {
+        "config": cfg.to_dict(),
+        "preset": preset,
+        "package_version": __version__,
+        "workers": workers,
+        "resumed": bool(kept),
+        "started_utc": _dt.datetime.fromtimestamp(
+            started, _dt.timezone.utc
+        ).isoformat(),
+        "duration_seconds": None,
+        "failures": failures,
+    }
+    _write_json(manifest_path, manifest)
     pool = contextlib.nullcontext()
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # a slow import
@@ -636,26 +664,8 @@ def run_sweep(cfg, output_dir, workers=1, resume=False, preset=None):
         for row in summary:
             fh.write(format_row(row, SUMMARY_COLUMNS))
 
-    manifest = {
-        "config": cfg.to_dict(),
-        "preset": preset,
-        "package_version": __version__,
-        "workers": workers,
-        "resumed": bool(kept),
-        "started_utc": _dt.datetime.fromtimestamp(
-            started, _dt.timezone.utc
-        ).isoformat(),
-        "duration_seconds": time.time() - started,
-        "points": [
-            {"M": m, "B": b_label(b), "K": k, "trials": cfg.trials}
-            for m, b, k in points
-        ],
-        "failures": failures,
-        "files": {"trials": TRIALS_CSV, "summary": SUMMARY_CSV},
-    }
-    with open(out / MANIFEST_JSON, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    manifest["duration_seconds"] = time.time() - started
+    _write_json(manifest_path, manifest)
 
     if failures:
         raise TrialError(f"{len(failures)} trial(s) failed, listed in "

@@ -6,8 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateBlockError
-
 DB_FLOOR = -200.0  # dB stand-in for an exact-zero linear value
 
 
@@ -65,7 +63,7 @@ def papr(gains):
     if gains.size < 1:
         raise ValueError("need at least one interval")
     if not np.any(gains):
-        raise DegenerateBlockError("all feed gains are zero")
+        raise ValueError("all feed gains are zero")
     powers = np.abs(gains) ** 2
     return float(np.max(powers) / np.mean(powers))
 

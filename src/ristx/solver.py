@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateDirectionError, DegenerateSymbolError
 from .geometry import wrap_phase
 
 GAIN_FLOOR = 1e-12  # step-size guard when the gain update stalls at <= 0
@@ -42,9 +41,10 @@ class PhaseCodebook:
 
     ``bits=B`` gives the 2**B uniformly spaced phases -pi + i*pi/2**(B-1),
     i = 0..2**B-1 (spacing pi/2**(B-1), all in [-pi, pi)), and ``unit``
-    their points exp(1j*phases) on the unit circle; B runs from 1 to
-    ``MAX_CODEBOOK_BITS``.  ``bits=None`` is the continuous limit, i.e. any
-    phase in [-pi, pi].
+    their points exp(1j*phases) on the unit circle; B is a whole number
+    (not a bool) from 1 to ``MAX_CODEBOOK_BITS``, and anything else raises
+    ``ValueError``.  ``bits=None`` is the continuous limit, i.e. any phase in
+    [-pi, pi].
     """
 
     bits: int | None
@@ -54,23 +54,13 @@ class PhaseCodebook:
     def __post_init__(self):
         if self.bits is None:
             return
-        if not 1 <= self.bits <= MAX_CODEBOOK_BITS:
-            raise ValueError(f"bits must be in 1..{MAX_CODEBOOK_BITS}")
+        if (isinstance(self.bits, bool) or not isinstance(self.bits, numbers.Integral)
+                or not 1 <= self.bits <= MAX_CODEBOOK_BITS):
+            raise ValueError(
+                f"bits must be None or a whole number in 1..{MAX_CODEBOOK_BITS}")
         table = -np.pi + np.arange(2**self.bits) * (np.pi / 2 ** (self.bits - 1))
         object.__setattr__(self, "phases", table)
         object.__setattr__(self, "unit", np.exp(1j * table))
-
-    @classmethod
-    def quantized(cls, bits):
-        return cls(int(bits))
-
-    @classmethod
-    def continuous(cls):
-        return cls(None)
-
-    @property
-    def is_continuous(self):
-        return self.bits is None
 
 
 def quantize_phases(values, codebook):
@@ -85,7 +75,7 @@ def quantize_phases(values, codebook):
     phase, -pi.
     """
     values = np.asarray(values, dtype=complex)
-    if codebook.is_continuous:
+    if codebook.bits is None:
         w = np.where(values == 0, np.exp(-1j * np.pi), values)
         return w / np.abs(w)
     entries = np.atleast_1d(values)
@@ -159,7 +149,7 @@ class EffectiveMatrix:
         """Cache the factorizations of a nonzero matrix."""
         matrix = np.asarray(matrix, dtype=complex)
         if not np.any(matrix):
-            raise DegenerateDirectionError("spectral norm of a zero matrix")
+            raise ValueError("spectral norm of a zero matrix")
         norm_sq = float(np.linalg.svd(matrix, compute_uv=False)[0] ** 2)
         return cls(matrix, norm_sq, np.linalg.pinv(matrix))
 
@@ -282,7 +272,7 @@ def _gain_and_objective(eff, w_block, s_block):
     projected = eff.matrix @ w_block
     denom = _column_norms_sq(projected)
     if np.any(denom <= np.finfo(float).eps * eff.spectral_norm_sq * eff.matrix.shape[1]):
-        raise DegenerateDirectionError("Heff @ w has (numerically) zero norm")
+        raise ValueError("Heff @ w has (numerically) zero norm")
     gains = np.einsum("ij,ij->j", projected.conj(), s_block).real / denom
     residual = s_block - projected * gains[None, :]
     return gains, residual, _column_norms_sq(residual)
@@ -310,7 +300,7 @@ def solve_block(eff, symbols, codebook, options=None):
             f"symbol rows {s_block.shape[0]} != matrix rows {eff.matrix.shape[0]}"
         )
     if np.any(~np.any(s_block, axis=0)):
-        raise DegenerateSymbolError("a symbol column is identically zero")
+        raise ValueError("a symbol column is identically zero")
 
     num_elements, num_cols = eff.matrix.shape[1], s_block.shape[1]
     threshold = options.resolved_threshold(num_elements)

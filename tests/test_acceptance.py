@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from ristx.channel import (
-    Cell,
     assemble_channel,
     compensating_gains,
     draw_fading,
@@ -172,7 +171,7 @@ def test_criterion_06_oracle_equivalence():
     # at the quantized init on these instances and cannot approach the
     # exhaustive optimum.  See the decisions ledger for the full analysis.
     rng = np.random.default_rng(20260808)
-    cb = PhaseCodebook.quantized(1)
+    cb = PhaseCodebook(1)
     ratios = []
     lower_ok = True
     for _ in range(100):
@@ -205,7 +204,7 @@ def test_criterion_07_gradient_check():
         m = int(rng.integers(2, 9))
         eff = EffectiveMatrix.from_matrix(crandn(rng, k, m))
         s = crandn(rng, k)
-        w = quantize_phases(crandn(rng, m), PhaseCodebook.continuous())
+        w = quantize_phases(crandn(rng, m), PhaseCodebook(None))
         gain = float(rng.uniform(0.3, 2.0) * rng.choice([-1.0, 1.0]))
         v = eff.matrix.conj().T @ (s - gain * (eff.matrix @ w))
 
@@ -240,7 +239,7 @@ def test_criterion_08_gain_optimality():
         m = int(rng.integers(2, 9))
         eff = EffectiveMatrix.from_matrix(crandn(rng, k, m))
         s = crandn(rng, k)
-        w = quantize_phases(crandn(rng, m), PhaseCodebook.continuous())
+        w = quantize_phases(crandn(rng, m), PhaseCodebook(None))
         best = float(_gain_and_objective(eff, w[:, None], s[:, None])[0][0])
 
         def objective(gain):
@@ -258,13 +257,12 @@ def test_criterion_09_path_loss_invariance():
     k, m, n = 4, 64, 50
     cfg = preset_config("fig2")
     surface = build_surface(cfg, m)
-    cell = Cell(cfg.r_min, cfg.r_max, cfg.path_loss_exponent, cfg.shadow_std_db)
     fading = draw_fading(k, m, np.random.default_rng(1234))
     symbols = draw_fading(k, n, np.random.default_rng(5678))
-    codebook = PhaseCodebook.quantized(4)
+    codebook = PhaseCodebook(4)
     values = []
     for draw in range(10):
-        users = draw_users(k, cell, np.random.default_rng(9000 + draw))
+        users = draw_users(k, cfg, np.random.default_rng(9000 + draw))
         chan = assemble_channel(users, fading)
         gains = compensating_gains(users)
         eff = EffectiveMatrix.build(gains, chan, surface)

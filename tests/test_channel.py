@@ -2,19 +2,20 @@ import numpy as np
 import pytest
 
 from ristx.channel import (
-    Cell,
     Users,
     assemble_channel,
     compensating_gains,
     draw_fading,
     draw_users,
 )
+from ristx.harness import SimConfig
 
 
 def make_cell(**kw):
+    # a config that sets the four fields draw_users reads
     base = dict(r_min=100.0, r_max=1000.0, path_loss_exponent=3.2, shadow_std_db=5.0)
     base.update(kw)
-    return Cell(**base)
+    return SimConfig(**base)
 
 
 def users(shadowing=1.0, r_norm=1.0, count=1, nu=3.2, r_ref=100.0):

@@ -390,6 +390,38 @@ class TestSweep:
         with pytest.raises(ValueError, match="not a prefix"):
             run_sweep(tiny_config(b_list=(1,)), tmp_path / "out", resume=True)
 
+    @pytest.mark.parametrize("manifest_text,changes", [(None, {"r_max": 1500.0}), ("{", {})],
+                             ids=["r_max", "unparsable"])
+    def test_resume_rejects_another_config(self, tmp_path, manifest_text, changes):
+        # the plan keys hold no physics field, so a cut dataset of another
+        # r_max passes the prefix check: only its manifest tells it apart
+        run_sweep(tiny_config(), tmp_path / "out")
+        trials = tmp_path / "out" / TRIALS_CSV
+        trials.write_text("\n".join(trials.read_text().split("\n")[:7]) + "\n")
+        if manifest_text is not None:
+            (tmp_path / "out" / MANIFEST_JSON).write_text(manifest_text)
+        kept = trials.read_bytes()
+        with pytest.raises(ValueError, match="written under another config"):
+            run_sweep(tiny_config(**changes), tmp_path / "out", resume=True)
+        assert trials.read_bytes() == kept
+
+    def test_manifest_is_written_before_the_first_trial(self, tmp_path, monkeypatch):
+        manifest_path = tmp_path / "out" / MANIFEST_JSON
+        durations = []
+        point_rows = ristx.harness._point_rows
+
+        def spy(*args):
+            durations.append(json.loads(manifest_path.read_text())["duration_seconds"])
+            return point_rows(*args)
+
+        monkeypatch.setattr("ristx.harness._point_rows", spy)
+        run_sweep(tiny_config(), tmp_path / "out")
+        assert durations == [None] * 4
+        manifest = json.loads(manifest_path.read_text())
+        assert set(manifest) == {"config", "preset", "package_version", "workers",
+                                 "resumed", "started_utc", "duration_seconds", "failures"}
+        assert manifest["duration_seconds"] >= 0.0
+
     def test_failed_trial_fails_the_sweep_after_writing(self, tmp_path, monkeypatch):
         cfg = tiny_config()
         run_sweep(cfg, tmp_path / "clean")

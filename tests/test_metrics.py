@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from ristx.errors import DegenerateBlockError
 from ristx.geometry import SurfaceModel
 from ristx.metrics import (
     average_power,
@@ -96,10 +95,12 @@ class TestDistortion:
     def test_path_loss_invariance_corollary(self):
         # with compensating gains the compensated channel is the fading
         # matrix, so the distortion matches the unit-large-scale evaluation
-        from ristx.channel import assemble_channel, compensating_gains, draw_users, Cell
+        from ristx.channel import assemble_channel, compensating_gains, draw_users
+        from ristx.harness import SimConfig
 
         rng = np.random.default_rng(3)
-        users = draw_users(3, Cell(100.0, 1000.0, 3.2, 5.0), rng)
+        cfg = SimConfig(r_min=100.0, r_max=1000.0, path_loss_exponent=3.2, shadow_std_db=5.0)
+        users = draw_users(3, cfg, rng)
         fading = crandn(rng, 3, 6)
         chan = assemble_channel(users, fading)
         g = compensating_gains(users)
@@ -148,7 +149,7 @@ class TestPapr:
             assert papr(gains) >= 1.0
 
     def test_all_zero_rejected(self):
-        with pytest.raises(DegenerateBlockError):
+        with pytest.raises(ValueError, match="^all feed gains are zero$"):
             papr(np.zeros(4))
 
 

@@ -2,9 +2,11 @@
 
 The README's library quick start must run as written, and ``ristx.harness``
 must keep calling through the names that ``perfbench/tracing.py`` patches,
-so that a traced replay still sees every stage of a trial.
+so that a traced replay still sees every stage of a trial.  Every ristx
+module must use each name it imports.
 """
 
+import ast
 import importlib.util
 import re
 import types
@@ -45,6 +47,26 @@ def test_package_exports_only_the_quick_start_names():
                 if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert exported == {name.strip() for name in imported.split(",")}
     assert isinstance(ristx.__version__, str)
+
+
+def test_every_module_uses_what_it_imports():
+    # __init__.py is exempt: its imports are the re-exports pinned above
+    unused = []
+    for path in sorted((ROOT / "src" / "ristx").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {(a.asname or a.name.split(".")[0]): node.lineno
+                             for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {(a.asname or a.name): node.lineno for a in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}"
+                   for name, line in imported.items() if name not in used]
+    assert unused == []
 
 
 def test_harness_has_every_name_the_tracer_patches():

@@ -3,7 +3,6 @@ import itertools
 import numpy as np
 import pytest
 
-from ristx.errors import DegenerateDirectionError, DegenerateSymbolError
 from ristx.geometry import wrap_phase
 from ristx.harness import b_label
 from ristx.solver import (
@@ -19,7 +18,7 @@ from ristx.solver import (
     solve_block,
 )
 
-CONT = PhaseCodebook.continuous()
+CONT = PhaseCodebook(None)
 
 
 def crandn(rng, *shape):
@@ -62,7 +61,7 @@ def brute_force_optimum(matrix, s):
 class TestCodebook:
     @pytest.mark.parametrize("bits", [1, 2, 4, 6])
     def test_table_layout(self, bits):
-        cb = PhaseCodebook.quantized(bits)
+        cb = PhaseCodebook(bits)
         assert cb.phases.shape == (2**bits,)
         assert cb.phases[0] == -np.pi
         spacing = np.diff(cb.phases)
@@ -70,27 +69,29 @@ class TestCodebook:
         assert np.all(cb.phases >= -np.pi) and np.all(cb.phases < np.pi)
 
     def test_b1_and_b2_tables(self):
-        assert np.allclose(PhaseCodebook.quantized(1).phases, [-np.pi, 0.0])
+        assert np.allclose(PhaseCodebook(1).phases, [-np.pi, 0.0])
         assert np.allclose(
-            PhaseCodebook.quantized(2).phases, [-np.pi, -np.pi / 2, 0.0, np.pi / 2]
+            PhaseCodebook(2).phases, [-np.pi, -np.pi / 2, 0.0, np.pi / 2]
         )
 
     def test_invalid_bits(self):
-        # checked before the 2**bits table is allocated
-        for bits in (0, 17):
-            with pytest.raises(ValueError):
-                PhaseCodebook.quantized(bits)
+        # checked before the 2**bits table is allocated; a bit depth is a
+        # whole number, not a float of whole value nor a bool
+        for bits in (0, 17, 2.5, True, 4.0, np.float64(3.0), "4"):
+            with pytest.raises(ValueError, match="bits must be None or a whole number"):
+                PhaseCodebook(bits)
+        assert np.array_equal(PhaseCodebook(np.int64(4)).phases, PhaseCodebook(4).phases)
 
     def test_labels(self):
-        assert b_label(PhaseCodebook.quantized(4).bits) == "4"
+        assert b_label(PhaseCodebook(4).bits) == "4"
         assert b_label(CONT.bits) == "inf"
-        assert CONT.is_continuous
+        assert CONT.bits is None and CONT.phases is None
 
 
 class TestQuantize:
     def test_b2_nearest(self):
         # phase 0.8: distance to pi/2 is 0.771, to 0 is 0.8
-        w = quantize_phases(np.array([np.exp(0.8j)]), PhaseCodebook.quantized(2))
+        w = quantize_phases(np.array([np.exp(0.8j)]), PhaseCodebook(2))
         assert np.angle(w[0]) == pytest.approx(np.pi / 2)
 
     def test_continuous_normalizes(self):
@@ -99,12 +100,12 @@ class TestQuantize:
 
     def test_b1_wrapped_distance(self):
         # phase 3.0: wrapped distance to -pi is ~0.14, unwrapped naive picks 0
-        w = quantize_phases(np.array([np.exp(3.0j)]), PhaseCodebook.quantized(1))
+        w = quantize_phases(np.array([np.exp(3.0j)]), PhaseCodebook(1))
         assert np.angle(w[0]) == pytest.approx(-np.pi)
 
     def test_midpoint_ties_round_to_smaller_phase(self):
-        b1 = PhaseCodebook.quantized(1)
-        b2 = PhaseCodebook.quantized(2)
+        b1 = PhaseCodebook(1)
+        b2 = PhaseCodebook(2)
         assert np.angle(quantize_phases(np.array([-1j]), b1)[0]) == pytest.approx(-np.pi)
         # interior midpoint -3pi/4 between -pi and -pi/2
         w = quantize_phases(np.array([np.exp(-3j * np.pi / 4)]), b2)
@@ -113,8 +114,7 @@ class TestQuantize:
         w = quantize_phases(np.array([np.exp(3j * np.pi / 4)]), b2)
         assert np.angle(w[0]) == pytest.approx(-np.pi)
 
-    @pytest.mark.parametrize("cb", [PhaseCodebook.quantized(1),
-                                    PhaseCodebook.quantized(3), CONT])
+    @pytest.mark.parametrize("cb", [PhaseCodebook(1), PhaseCodebook(3), CONT])
     def test_idempotent(self, cb):
         u = crandn(np.random.default_rng(11), 200)
         once = quantize_phases(u, cb)
@@ -123,7 +123,7 @@ class TestQuantize:
 
     def test_exhaustive_optimality(self):
         # no codebook phase is strictly closer (wrapped) than the chosen one
-        cb = PhaseCodebook.quantized(3)
+        cb = PhaseCodebook(3)
         u = crandn(np.random.default_rng(12), 500)
         w = quantize_phases(u, cb)
         chosen = np.abs(wrap_phase(np.angle(w) - np.angle(u)))
@@ -132,7 +132,7 @@ class TestQuantize:
             assert np.all(chosen <= alt + 1e-12)
 
     def test_zero_maps_to_first_entry(self):
-        w = quantize_phases(np.array([0.0 + 0.0j, 1.0]), PhaseCodebook.quantized(2))
+        w = quantize_phases(np.array([0.0 + 0.0j, 1.0]), PhaseCodebook(2))
         assert np.angle(w[0]) == pytest.approx(-np.pi)
         assert w[1] == pytest.approx(1.0)
         wc = quantize_phases(np.array([0.0 + 0.0j]), CONT)
@@ -140,7 +140,7 @@ class TestQuantize:
 
     def test_unit_moduli(self):
         u = 10.0 * crandn(np.random.default_rng(13), 300)
-        for cb in (PhaseCodebook.quantized(2), CONT):
+        for cb in (PhaseCodebook(2), CONT):
             w = quantize_phases(u, cb)
             assert np.max(np.abs(np.abs(w) - 1.0)) < 5e-16
 
@@ -172,7 +172,7 @@ class TestQuantize:
         # oracle: full first-minimum argmin of the wrapped distances over
         # the whole codebook (the contract's literal form), taken over
         # chunks of angles so that the distance table stays at 2**20 entries
-        cb = PhaseCodebook.quantized(bits)
+        cb = PhaseCodebook(bits)
         levels = cb.phases.size
 
         def exhaustive_index(ang):
@@ -238,7 +238,7 @@ class TestInit:
 
     def test_row_vector_quantized_tie(self):
         eff = EffectiveMatrix.from_matrix(np.array([[1.0, 1.0j]]))
-        w = _seed(eff, np.array([1.0 + 0j]), PhaseCodebook.quantized(1))
+        w = _seed(eff, np.array([1.0 + 0j]), PhaseCodebook(1))
         assert np.allclose(w, [1.0, -1.0], atol=1e-15)
 
     @pytest.mark.parametrize("bits", [1, 2, 4, None])
@@ -280,7 +280,7 @@ class TestGain:
 
     def test_degenerate_direction(self):
         eff = EffectiveMatrix.from_matrix(np.array([[1.0, -1.0]]))
-        with pytest.raises(DegenerateDirectionError):
+        with pytest.raises(ValueError, match=r"^Heff @ w has \(numerically\) zero norm$"):
             column_gain(eff, np.array([1.0 + 0j, 1.0 + 0j]), np.array([1.0 + 0j]))
 
 
@@ -329,7 +329,7 @@ class TestSpectralNorm:
         assert abs(cached - estimate) <= 1e-8 * estimate
 
     def test_zero_matrix(self):
-        with pytest.raises(DegenerateDirectionError):
+        with pytest.raises(ValueError, match="^spectral norm of a zero matrix$"):
             EffectiveMatrix.from_matrix(np.zeros((2, 2)))
 
 
@@ -346,7 +346,7 @@ class TestSolve:
 
     def test_never_beats_exhaustive_search(self):
         rng = np.random.default_rng(18)
-        cb = PhaseCodebook.quantized(1)
+        cb = PhaseCodebook(1)
         for _ in range(40):
             eff, s = random_problem(rng, 1, 2)
             opt = brute_force_optimum(eff.matrix, s)
@@ -355,7 +355,7 @@ class TestSolve:
 
     def test_improves_on_initial_pair(self):
         rng = np.random.default_rng(19)
-        for cb in (PhaseCodebook.quantized(2), CONT):
+        for cb in (PhaseCodebook(2), CONT):
             for _ in range(20):
                 eff, s = random_problem(rng, 2, 8)
                 w0 = _seed(eff, s, cb)
@@ -366,7 +366,7 @@ class TestSolve:
     def test_positive_homogeneity_power_of_two(self):
         # scaling s by 2 is exact in floating point: w path identical, gain doubles
         rng = np.random.default_rng(20)
-        for cb in (PhaseCodebook.quantized(2), CONT):
+        for cb in (PhaseCodebook(2), CONT):
             eff, s = random_problem(rng, 2, 6)
             a = solve(eff, s, cb)
             b = solve(eff, 2.0 * s, cb)
@@ -377,14 +377,14 @@ class TestSolve:
     def test_positive_homogeneity_generic_scale(self):
         rng = np.random.default_rng(21)
         eff, s = random_problem(rng, 2, 6)
-        a = solve(eff, s, PhaseCodebook.quantized(2))
-        b = solve(eff, 1.7 * s, PhaseCodebook.quantized(2))
+        a = solve(eff, s, PhaseCodebook(2))
+        b = solve(eff, 1.7 * s, PhaseCodebook(2))
         assert np.allclose(a.w, b.w, atol=1e-12)
         assert b.gain == pytest.approx(1.7 * a.gain, rel=1e-12)
 
     def test_gain_self_consistency(self):
         rng = np.random.default_rng(22)
-        for cb in (PhaseCodebook.quantized(3), CONT):
+        for cb in (PhaseCodebook(3), CONT):
             for _ in range(20):
                 eff, s = random_problem(rng, 3, 10)
                 sol = solve(eff, s, cb)
@@ -392,13 +392,15 @@ class TestSolve:
 
     def test_solution_invariants(self):
         rng = np.random.default_rng(23)
-        cb = PhaseCodebook.quantized(3)
+        cb = PhaseCodebook(3)
         eff, s = random_problem(rng, 2, 12)
         sol = solve(eff, s, cb)
-        assert np.max(np.abs(np.abs(sol.w) - 1.0)) < 3e-16
+        # the bound of tests/test_solver_property.py: 2 eps is the worst seen
+        tol = 4 * np.finfo(float).eps
+        assert np.max(np.abs(np.abs(sol.w) - 1.0)) <= tol
         assert np.all(np.isin(sol.w, cb.unit))
         sol_c = solve(eff, s, CONT)
-        assert np.max(np.abs(np.abs(sol_c.w) - 1.0)) < 3e-16
+        assert np.max(np.abs(np.abs(sol_c.w) - 1.0)) <= tol
 
     def test_continuous_near_fixed_point_when_converged(self):
         rng = np.random.default_rng(24)
@@ -418,24 +420,24 @@ class TestSolve:
     def test_deterministic(self):
         rng = np.random.default_rng(25)
         eff, s = random_problem(rng, 3, 9)
-        a = solve(eff, s, PhaseCodebook.quantized(2))
-        b = solve(eff, s, PhaseCodebook.quantized(2))
+        a = solve(eff, s, PhaseCodebook(2))
+        b = solve(eff, s, PhaseCodebook(2))
         assert np.array_equal(a.w, b.w)
         assert a.gain == b.gain
         assert a.final_objective == b.final_objective
 
     def test_zero_column_rejected(self):
         eff = EffectiveMatrix.from_matrix(np.array([[1.0, 2.0]]))
-        with pytest.raises(DegenerateSymbolError):
+        with pytest.raises(ValueError, match="^a symbol column is identically zero$"):
             solve(eff, np.zeros(1, dtype=complex), CONT)
-        with pytest.raises(DegenerateSymbolError):
+        with pytest.raises(ValueError, match="^a symbol column is identically zero$"):
             solve_block(eff, np.array([[1.0, 0.0]], dtype=complex), CONT)
 
     def test_stalled_gain_counted_and_guarded(self):
         # symmetric symbols make the first gain update exactly zero
         eff = EffectiveMatrix.from_matrix(np.array([[1.0 + 0j], [1.0 + 0j]]))
         s = np.array([1.0 + 0j, -1.0 + 0j])
-        sol = solve(eff, s, PhaseCodebook.quantized(1))
+        sol = solve(eff, s, PhaseCodebook(1))
         assert sol.negative_gain_events >= 1
         assert sol.gain == 0.0
         assert sol.final_objective == pytest.approx(2.0)
@@ -496,7 +498,7 @@ class TestGradientDirection:
 
 
 class TestBlockSolver:
-    @pytest.mark.parametrize("cb", [PhaseCodebook.quantized(2), CONT])
+    @pytest.mark.parametrize("cb", [PhaseCodebook(2), CONT])
     def test_block_matches_per_column_solve(self, cb):
         rng = np.random.default_rng(29)
         eff = EffectiveMatrix.from_matrix(crandn(rng, 3, 8))
@@ -525,7 +527,7 @@ class TestBlockSolver:
         # w is read from the unit table: every entry is a codebook point,
         # bitwise
         rng = np.random.default_rng(31 + bits)
-        cb = PhaseCodebook.quantized(bits)
+        cb = PhaseCodebook(bits)
         eff = EffectiveMatrix.from_matrix(crandn(rng, 3, 24))
         sol = solve_block(eff, crandn(rng, 3, 40), cb)
         assert np.all(np.isin(sol.w, cb.unit))
@@ -534,7 +536,7 @@ class TestBlockSolver:
         # a 1-bit block that stops at pass 1 on its seed skips the final
         # evaluation; what it reports must still be that evaluation, bitwise
         rng = np.random.default_rng(41)
-        cb = PhaseCodebook.quantized(1)
+        cb = PhaseCodebook(1)
         eff = EffectiveMatrix.from_matrix(crandn(rng, 2, 64))
         block = crandn(rng, 2, 12)
         sol = solve_block(eff, block, cb)
@@ -544,7 +546,7 @@ class TestBlockSolver:
         assert np.array_equal(sol.gains, gains)
         assert np.array_equal(sol.final_objectives, objectives)
 
-    @pytest.mark.parametrize("cb", [PhaseCodebook.quantized(4), CONT])
+    @pytest.mark.parametrize("cb", [PhaseCodebook(4), CONT])
     def test_heff_scale_leaves_iterates_alone(self, cb):
         # a power-of-two scale of Heff is exact in every product, so the
         # iterates must not change, nor may the zero-norm guard fire

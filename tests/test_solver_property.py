@@ -42,7 +42,7 @@ def problems(draw):
 def test_block_solution_invariants(problem):
     eff, s, cb = problem
     sol = solve_block(eff, s, cb)
-    if cb.is_continuous:
+    if cb.bits is None:
         assert np.max(np.abs(np.abs(sol.w) - 1.0)) <= UNIT_MODULUS_TOL
     else:
         assert np.all(np.isin(sol.w, cb.unit))
