@@ -53,9 +53,10 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     sweep = sub.add_parser("sweep", help="run a Monte-Carlo sweep")
-    sweep.add_argument("config", nargs="?", help="JSON config file")
-    sweep.add_argument("--preset", choices=("fig2", "fig3", "fig4"),
-                       help="built-in figure-reproduction sweep")
+    source = sweep.add_mutually_exclusive_group(required=True)
+    source.add_argument("config", nargs="?", help="JSON config file")
+    source.add_argument("--preset", choices=("fig2", "fig3", "fig4"),
+                        help="built-in figure-reproduction sweep")
     sweep.add_argument("-o", "--output", required=True, help="output directory")
     sweep.add_argument("--seed", type=int, help="override the master seed")
     sweep.add_argument("--trials", type=int, help="override trials per point")
@@ -85,13 +86,6 @@ def _build_parser():
 
 
 def _cmd_sweep(args):
-    if args.preset and args.config:
-        print("error: give either a config file or --preset, not both",
-              file=sys.stderr)
-        return USAGE_EXIT
-    if not args.preset and not args.config:
-        print("error: a config file or --preset is required", file=sys.stderr)
-        return USAGE_EXIT
     cfg = preset_config(args.preset) if args.preset else _load_config(args.config)
     overrides = {"trials": args.trials, "master_seed": args.seed}
     cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})

@@ -507,7 +507,7 @@ def _read_existing_rows(path):
     if lines[-1] != "":
         lines = lines[:-1]  # drop a partially written final line
     if not lines or lines[0] != ",".join(TRIAL_COLUMNS):
-        raise ValueError(f"{path} does not start with the expected header")
+        raise ConfigError("resume", f"{path} does not start with the expected header")
     rows = []
     for line in lines[1:]:
         parts = line.split(",")
@@ -532,15 +532,15 @@ def _whole_trials(rows, cfg, points):
     prefix of this sweep's plan (a longer file is not)."""
     got = [tuple(row[c] for c in TRIAL_COLUMNS[:6]) for row in rows]
     if got != list(itertools.islice(_planned_keys(cfg, points), len(got))):
-        raise ValueError(
-            "existing trials.csv is not a prefix of this sweep's plan; "
+        raise ConfigError(
+            "resume", "existing trials.csv is not a prefix of this sweep's plan; "
             "use a fresh output directory"
         )
     return len(rows) // len(cfg.schemes)
 
 
 def _check_manifest_config(path, cfg):
-    """``ValueError`` unless the manifest at ``path`` echoes ``cfg``: no physics
+    """``ConfigError`` unless the manifest at ``path`` echoes ``cfg``: no physics
     field enters the plan keys, so rows of another config pass that check."""
     try:
         echo = json.loads(path.read_text(encoding="utf-8"))["config"]
@@ -548,8 +548,8 @@ def _check_manifest_config(path, cfg):
     except (ValueError, KeyError, TypeError):
         same = False
     if not same:
-        raise ValueError(f"{path} was written under another config; "
-                         "use a fresh output directory")
+        raise ConfigError("resume", f"{path} was written under another config; "
+                          "use a fresh output directory")
 
 
 def _write_json(path, data):

@@ -146,8 +146,10 @@ class EffectiveMatrix:
 
     @classmethod
     def from_matrix(cls, matrix):
-        """Cache the factorizations of a nonzero matrix."""
+        """Cache the factorizations of a finite, nonzero matrix."""
         matrix = np.asarray(matrix, dtype=complex)
+        if not np.all(np.isfinite(matrix)):
+            raise ValueError("matrix has a non-finite entry")
         if not np.any(matrix):
             raise ValueError("spectral norm of a zero matrix")
         norm_sq = float(np.linalg.svd(matrix, compute_uv=False)[0] ** 2)
@@ -225,37 +227,15 @@ def _guarded_step(step_scale, gains, spectral_sq):
 
 
 @dataclass(frozen=True)
-class TuningSolution:
-    """Solver output for a single interval."""
-
-    w: np.ndarray              # (M,) unit-modulus codebook entries
-    gain: float                # amplification gain A
-    iterations: int
-    final_objective: float     # ||s - A * Heff @ w||^2 of the returned pair
-    converged: bool            # stopped by threshold rather than iteration cap
-    negative_gain_events: int
-
-
-@dataclass(frozen=True)
 class BlockSolution:
     """Per-interval solver outputs for a block of symbol columns."""
 
     w: np.ndarray                    # (M, N) unit-modulus codebook entries
-    gains: np.ndarray                # (N,)
+    gains: np.ndarray                # (N,) amplification gains A
     iterations: np.ndarray           # (N,) int
-    final_objectives: np.ndarray     # (N,)
-    converged: np.ndarray            # (N,) bool
+    final_objectives: np.ndarray     # (N,) ||s - A * Heff @ w||^2 of the returned pairs
+    converged: np.ndarray            # (N,) bool: stopped by threshold, not iteration cap
     negative_gain_events: np.ndarray  # (N,) int
-
-    def interval(self, n):
-        return TuningSolution(
-            w=self.w[:, n].copy(),
-            gain=float(self.gains[n]),
-            iterations=int(self.iterations[n]),
-            final_objective=float(self.final_objectives[n]),
-            converged=bool(self.converged[n]),
-            negative_gain_events=int(self.negative_gain_events[n]),
-        )
 
 
 def _column_norms_sq(block):
@@ -289,12 +269,19 @@ def solve_block(eff, symbols, codebook, options=None):
     not bit for bit: a BLAS matrix product rounds a column differently
     depending on how many columns the product has.  For a fixed block width
     (``num_intervals``) and BLAS thread count the bytes are deterministic.
+    A ``(K,)`` symbol vector is solved as one column, and every field of the
+    result is a per-column array, of length 1 then.
     """
     options = options or SolverOptions()
     # C order, like the column subsets taken later in the loop
     s_block = np.ascontiguousarray(symbols, dtype=complex)
     if s_block.ndim == 1:
         s_block = s_block[:, None]
+    if s_block.ndim != 2:
+        raise ValueError(
+            f"symbols must be a (K,) vector or a (K, N) block, not {s_block.ndim}-D")
+    if not np.all(np.isfinite(s_block)):
+        raise ValueError("symbols have a non-finite entry")
     if s_block.shape[0] != eff.matrix.shape[0]:
         raise ValueError(
             f"symbol rows {s_block.shape[0]} != matrix rows {eff.matrix.shape[0]}"
@@ -345,9 +332,9 @@ def solve_block(eff, symbols, codebook, options=None):
 
         done = change < threshold
         converged[active[done]] = True
-        keep = ~done & (t < options.max_iterations)
         w_act = w_next
-        if not np.all(keep):
+        if np.any(done):
+            keep = ~done
             active = active[keep]
             w_act, s_act = w_act[:, keep], s_act[:, keep]
 
@@ -371,9 +358,3 @@ def solve_block(eff, symbols, codebook, options=None):
         converged=converged,
         negative_gain_events=negative_events,
     )
-
-
-def solve(eff, symbols, codebook, options=None):
-    """Tune gain and phase vector for a single interval's symbols."""
-    block = solve_block(eff, np.asarray(symbols, dtype=complex)[:, None], codebook, options)
-    return block.interval(0)

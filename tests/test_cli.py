@@ -201,12 +201,17 @@ class TestSweep:
         assert manifest["config"]["master_seed"] == 77
 
     def test_requires_config_or_preset(self, tmp_path, capsys):
-        assert main(["sweep", "-o", str(tmp_path)]) == 2
-        assert "required" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as err:
+            main(["sweep", "-o", str(tmp_path)])
+        assert err.value.code == 2
+        assert "one of the arguments config --preset is required" in capsys.readouterr().err
 
     def test_rejects_both_config_and_preset(self, tmp_path, capsys):
         path = write_config(tmp_path, tiny_config_dict())
-        assert main(["sweep", path, "--preset", "fig2", "-o", str(tmp_path)]) == 2
+        with pytest.raises(SystemExit) as err:
+            main(["sweep", path, "--preset", "fig2", "-o", str(tmp_path)])
+        assert err.value.code == 2
+        assert "not allowed with argument config" in capsys.readouterr().err
 
     def test_whole_float_lists_sweep_like_ints(self, tmp_path):
         outputs = []
@@ -258,6 +263,29 @@ class TestSweep:
                                                         rel=0, abs=1e-9)
         assert columns["P_out", -200.0] == pytest.approx(
             [1e20 * p for p in columns["P_out", 0.0]], rel=1e-9)
+
+    @pytest.mark.parametrize("damage,message", [
+        ("manifest", "written under another config"),
+        ("rows", "not a prefix of this sweep's plan"),
+        ("header", "does not start with the expected header"),
+    ], ids=["manifest", "rows", "header"])
+    def test_rejected_resume_exits_2(self, tmp_path, capsys, damage, message):
+        path = write_config(tmp_path, tiny_config_dict())
+        out = tmp_path / "out"
+        assert main(["sweep", path, "-o", str(out)]) == 0
+        trials = out / TRIALS_CSV
+        header, *rows = trials.read_text().splitlines()
+        if damage == "manifest":
+            path = write_config(tmp_path, tiny_config_dict() | {"r_max": 1500.0})
+        elif damage == "rows":
+            rows = rows[1:]
+        else:
+            header = header.replace("D_dB", "distortion")
+        trials.write_text("\n".join([header, *rows[:1]]) + "\n")
+        capsys.readouterr()
+        assert main(["sweep", path, "-o", str(out), "--resume"]) == 2
+        err = capsys.readouterr().err
+        assert "config field 'resume'" in err and message in err
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         cfg = tiny_config_dict()

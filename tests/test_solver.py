@@ -14,7 +14,6 @@ from ristx.solver import (
     _nearest_index,
     _seed,
     quantize_phases,
-    solve,
     solve_block,
 )
 
@@ -332,17 +331,23 @@ class TestSpectralNorm:
         with pytest.raises(ValueError, match="^spectral norm of a zero matrix$"):
             EffectiveMatrix.from_matrix(np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.inf)],
+                             ids=["nan", "inf", "complex-inf"])
+    def test_non_finite_matrix_rejected(self, bad):
+        with pytest.raises(ValueError, match="^matrix has a non-finite entry$"):
+            EffectiveMatrix.from_matrix(np.array([[1.0, bad], [0.5, 2.0]]))
+
 
 class TestSolve:
     def test_scalar_exact_fit(self):
         eff = EffectiveMatrix.from_matrix(np.array([[1.0 + 0j]]))
         s = np.array([np.exp(1j * np.pi / 4)])
-        sol = solve(eff, s, CONT)
-        assert sol.final_objective < 1e-28
-        assert sol.gain == pytest.approx(1.0)
-        assert sol.w[0] == pytest.approx(s[0], rel=1e-12)
-        assert sol.iterations <= 2
-        assert sol.converged
+        sol = solve_block(eff, s, CONT)
+        assert sol.final_objectives[0] < 1e-28
+        assert sol.gains[0] == pytest.approx(1.0)
+        assert sol.w[0, 0] == pytest.approx(s[0], rel=1e-12)
+        assert sol.iterations[0] <= 2
+        assert sol.converged[0]
 
     def test_never_beats_exhaustive_search(self):
         rng = np.random.default_rng(18)
@@ -350,8 +355,8 @@ class TestSolve:
         for _ in range(40):
             eff, s = random_problem(rng, 1, 2)
             opt = brute_force_optimum(eff.matrix, s)
-            sol = solve(eff, s, cb)
-            assert sol.final_objective >= opt - 1e-9
+            sol = solve_block(eff, s, cb)
+            assert sol.final_objectives[0] >= opt - 1e-9
 
     def test_improves_on_initial_pair(self):
         rng = np.random.default_rng(19)
@@ -360,76 +365,77 @@ class TestSolve:
                 eff, s = random_problem(rng, 2, 8)
                 w0 = _seed(eff, s, cb)
                 first = objective(eff, w0, s, column_gain(eff, w0, s))
-                sol = solve(eff, s, cb)
-                assert sol.final_objective <= first + 1e-12
+                sol = solve_block(eff, s, cb)
+                assert sol.final_objectives[0] <= first + 1e-12
 
     def test_positive_homogeneity_power_of_two(self):
         # scaling s by 2 is exact in floating point: w path identical, gain doubles
         rng = np.random.default_rng(20)
         for cb in (PhaseCodebook(2), CONT):
             eff, s = random_problem(rng, 2, 6)
-            a = solve(eff, s, cb)
-            b = solve(eff, 2.0 * s, cb)
-            assert np.array_equal(a.w, b.w)
-            assert b.gain == 2.0 * a.gain
-            assert a.iterations == b.iterations
+            a = solve_block(eff, s, cb)
+            b = solve_block(eff, 2.0 * s, cb)
+            assert np.array_equal(a.w[:, 0], b.w[:, 0])
+            assert b.gains[0] == 2.0 * a.gains[0]
+            assert a.iterations[0] == b.iterations[0]
 
     def test_positive_homogeneity_generic_scale(self):
         rng = np.random.default_rng(21)
         eff, s = random_problem(rng, 2, 6)
-        a = solve(eff, s, PhaseCodebook(2))
-        b = solve(eff, 1.7 * s, PhaseCodebook(2))
-        assert np.allclose(a.w, b.w, atol=1e-12)
-        assert b.gain == pytest.approx(1.7 * a.gain, rel=1e-12)
+        a = solve_block(eff, s, PhaseCodebook(2))
+        b = solve_block(eff, 1.7 * s, PhaseCodebook(2))
+        assert np.allclose(a.w[:, 0], b.w[:, 0], atol=1e-12)
+        assert b.gains[0] == pytest.approx(1.7 * a.gains[0], rel=1e-12)
 
     def test_gain_self_consistency(self):
         rng = np.random.default_rng(22)
         for cb in (PhaseCodebook(3), CONT):
             for _ in range(20):
                 eff, s = random_problem(rng, 3, 10)
-                sol = solve(eff, s, cb)
-                assert sol.gain == pytest.approx(column_gain(eff, sol.w, s), rel=1e-12)
+                sol = solve_block(eff, s, cb)
+                gain = column_gain(eff, sol.w[:, 0], s)
+                assert sol.gains[0] == pytest.approx(gain, rel=1e-12)
 
     def test_solution_invariants(self):
         rng = np.random.default_rng(23)
         cb = PhaseCodebook(3)
         eff, s = random_problem(rng, 2, 12)
-        sol = solve(eff, s, cb)
+        sol = solve_block(eff, s, cb)
         # the bound of tests/test_solver_property.py: 2 eps is the worst seen
         tol = 4 * np.finfo(float).eps
-        assert np.max(np.abs(np.abs(sol.w) - 1.0)) <= tol
-        assert np.all(np.isin(sol.w, cb.unit))
-        sol_c = solve(eff, s, CONT)
-        assert np.max(np.abs(np.abs(sol_c.w) - 1.0)) <= tol
+        assert np.max(np.abs(np.abs(sol.w[:, 0]) - 1.0)) <= tol
+        assert np.all(np.isin(sol.w[:, 0], cb.unit))
+        sol_c = solve_block(eff, s, CONT)
+        assert np.max(np.abs(np.abs(sol_c.w[:, 0]) - 1.0)) <= tol
 
     def test_continuous_near_fixed_point_when_converged(self):
         rng = np.random.default_rng(24)
         opts = SolverOptions()
         for _ in range(10):
             eff, s = random_problem(rng, 2, 8)
-            sol = solve(eff, s, CONT, opts)
-            assert sol.converged
-            gain = column_gain(eff, sol.w, s)
+            sol = solve_block(eff, s, CONT, opts)
+            assert sol.converged[0]
+            gain = column_gain(eff, sol.w[:, 0], s)
             psi, _ = _guarded_step(opts.step_scale, np.array([gain]),
                                    eff.spectral_norm_sq)
-            grad_dir = eff.matrix.conj().T @ (s - gain * (eff.matrix @ sol.w))
-            w_next = quantize_phases(sol.w + psi[0] * grad_dir, CONT)
+            grad_dir = eff.matrix.conj().T @ (s - gain * (eff.matrix @ sol.w[:, 0]))
+            w_next = quantize_phases(sol.w[:, 0] + psi[0] * grad_dir, CONT)
             threshold = opts.resolved_threshold(8)
-            assert np.linalg.norm(w_next - sol.w) < np.sqrt(threshold)
+            assert np.linalg.norm(w_next - sol.w[:, 0]) < np.sqrt(threshold)
 
     def test_deterministic(self):
         rng = np.random.default_rng(25)
         eff, s = random_problem(rng, 3, 9)
-        a = solve(eff, s, PhaseCodebook(2))
-        b = solve(eff, s, PhaseCodebook(2))
-        assert np.array_equal(a.w, b.w)
-        assert a.gain == b.gain
-        assert a.final_objective == b.final_objective
+        a = solve_block(eff, s, PhaseCodebook(2))
+        b = solve_block(eff, s, PhaseCodebook(2))
+        assert np.array_equal(a.w[:, 0], b.w[:, 0])
+        assert a.gains[0] == b.gains[0]
+        assert a.final_objectives[0] == b.final_objectives[0]
 
     def test_zero_column_rejected(self):
         eff = EffectiveMatrix.from_matrix(np.array([[1.0, 2.0]]))
         with pytest.raises(ValueError, match="^a symbol column is identically zero$"):
-            solve(eff, np.zeros(1, dtype=complex), CONT)
+            solve_block(eff, np.zeros(1, dtype=complex), CONT)
         with pytest.raises(ValueError, match="^a symbol column is identically zero$"):
             solve_block(eff, np.array([[1.0, 0.0]], dtype=complex), CONT)
 
@@ -437,10 +443,10 @@ class TestSolve:
         # symmetric symbols make the first gain update exactly zero
         eff = EffectiveMatrix.from_matrix(np.array([[1.0 + 0j], [1.0 + 0j]]))
         s = np.array([1.0 + 0j, -1.0 + 0j])
-        sol = solve(eff, s, PhaseCodebook(1))
-        assert sol.negative_gain_events >= 1
-        assert sol.gain == 0.0
-        assert sol.final_objective == pytest.approx(2.0)
+        sol = solve_block(eff, s, PhaseCodebook(1))
+        assert sol.negative_gain_events[0] >= 1
+        assert sol.gains[0] == 0.0
+        assert sol.final_objectives[0] == pytest.approx(2.0)
 
 
 class TestGradientDirection:
@@ -505,22 +511,45 @@ class TestBlockSolver:
         block = crandn(rng, 3, 7)
         batched = solve_block(eff, block, cb)
         for n in range(7):
-            single = solve(eff, block[:, n], cb)
-            assert np.allclose(batched.w[:, n], single.w, atol=1e-10)
-            assert batched.gains[n] == pytest.approx(single.gain, rel=1e-10)
-            assert batched.iterations[n] == single.iterations
-            assert bool(batched.converged[n]) == single.converged
+            single = solve_block(eff, block[:, n], cb)
+            assert np.allclose(batched.w[:, n], single.w[:, 0], atol=1e-10)
+            assert batched.gains[n] == pytest.approx(single.gains[0], rel=1e-10)
+            assert batched.iterations[n] == single.iterations[0]
+            assert bool(batched.converged[n]) == single.converged[0]
             assert batched.final_objectives[n] == pytest.approx(
-                single.final_objective, rel=1e-9, abs=1e-12
+                single.final_objectives[0], rel=1e-9, abs=1e-12
             )
 
-    def test_interval_accessor(self):
+    @pytest.mark.parametrize("cb", [PhaseCodebook(2), CONT])
+    def test_vector_solves_as_one_column(self, cb):
         rng = np.random.default_rng(30)
-        eff = EffectiveMatrix.from_matrix(crandn(rng, 2, 5))
-        block = crandn(rng, 2, 3)
-        batched = solve_block(eff, block, CONT)
-        one = batched.interval(1)
-        assert np.array_equal(one.w, batched.w[:, 1])
+        eff, s = random_problem(rng, 3, 8)
+        vector = solve_block(eff, s, cb)
+        column = solve_block(eff, s[:, None], cb)
+        for name in ("w", "gains", "iterations", "final_objectives", "converged",
+                     "negative_gain_events"):
+            got, want = getattr(vector, name), getattr(column, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
+    def test_iteration_cap_stops_every_column(self):
+        rng = np.random.default_rng(36)
+        eff = EffectiveMatrix.from_matrix(crandn(rng, 3, 8))
+        block = crandn(rng, 3, 5)
+        sol = solve_block(eff, block, CONT, SolverOptions(max_iterations=1))
+        assert np.array_equal(sol.iterations, np.ones(5, dtype=int))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1, -np.inf)],
+                             ids=["nan", "inf", "complex-inf"])
+    def test_non_finite_symbols_rejected(self, bad):
+        eff = EffectiveMatrix.from_matrix(np.array([[1.0, 2.0], [0.5, -1.0]]))
+        for symbols in (np.array([1 + 1j, bad]), np.array([[1.0, 1.0], [bad, 2.0]])):
+            with pytest.raises(ValueError, match="^symbols have a non-finite entry$"):
+                solve_block(eff, symbols, CONT)
+
+    def test_three_dimensional_symbols_rejected(self):
+        eff = EffectiveMatrix.from_matrix(np.ones((2, 3)))
+        with pytest.raises(ValueError, match=r"^symbols must be a \(K,\) vector .* not 3-D$"):
+            solve_block(eff, np.ones((2, 3, 4), dtype=complex), CONT)
 
     @pytest.mark.parametrize("bits", [1, 2, 4])
     def test_quantized_beta_is_codebook_phase_of_w(self, bits):
