@@ -15,7 +15,6 @@ from .harness import (
     preset_config,
     run_sweep,
     run_trial,
-    trial_rows,
 )
 
 USAGE_EXIT = 2
@@ -103,13 +102,12 @@ def _cmd_trial(args):
         data["schemes"] = ["single_rf"]
     cfg = SimConfig.from_dict(data)
     (b,) = cfg.b_list
+    rows, record = run_trial(cfg, args.K, args.M, b, args.trial_index,
+                             with_record=args.json)
     if args.json:
-        _, record = run_trial(cfg, args.K, args.M, b, args.trial_index,
-                              with_record=True)
         json.dump(record, sys.stdout, indent=2)
         sys.stdout.write("\n")
     else:
-        rows = trial_rows(cfg, args.K, args.M, b, args.trial_index)
         sys.stdout.write(",".join(TRIAL_COLUMNS) + "\n")
         for row in rows:
             sys.stdout.write(format_row(row, TRIAL_COLUMNS))

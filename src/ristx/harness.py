@@ -27,13 +27,7 @@ from .baseline import mf_post_gains, mf_precode_block
 from .channel import assemble_channel, compensating_gains, draw_fading, draw_users
 from .errors import ConfigError, UnilluminatedElementError
 from .geometry import propagation_coeffs
-from .metrics import (
-    average_power,
-    distortion,
-    papr,
-    transmit_block,
-    trial_result,
-)
+from .metrics import average_power, db10, distortion, papr, transmit_block
 from .solver import (
     MAX_CODEBOOK_BITS,
     EffectiveMatrix,
@@ -341,6 +335,19 @@ def derive_trial_streams(master_seed, num_users, num_elements, b, trial_index):
     )
 
 
+def trial_result(scheme, key, d_linear, p_out, papr_linear,
+                 iterations_mean=math.nan, converged_fraction=math.nan):
+    """The ``TRIAL_COLUMNS`` row of one scheme's result in one trial, whose
+    (K, M, B, trial_index, trial_seed) columns are ``key``.  The dB forms
+    come from ``db10``: a zero distortion reads -200 dB, with ``D_floored``
+    1."""
+    d_db, floored = db10(d_linear)
+    return dict(zip(TRIAL_COLUMNS, (
+        scheme, *key, d_db, float(d_linear), int(floored), float(p_out),
+        db10(papr_linear)[0], float(iterations_mean), float(converged_fraction),
+    ), strict=True))
+
+
 class TrialError(RuntimeError):
     """A module error annotated with the sweep point that raised it, or the
     count and first such error of a sweep's failed trials."""
@@ -350,8 +357,9 @@ def run_trial(cfg, num_users, num_elements, b, trial_index, surface=None,
               with_record=False):
     """Run one channel realization end to end.
 
-    Returns (results, record): one TrialResult per configured scheme, and a
-    JSON-serializable trial record when ``with_record`` is set (else None).
+    Returns (rows, record): the ``TRIAL_COLUMNS`` row of each configured
+    scheme, and a JSON-serializable trial record, whose ``results`` are those
+    rows, when ``with_record`` is set (else None).
     Any error is raised as a ``TrialError`` naming the sweep point.
     """
     try:
@@ -384,13 +392,11 @@ def _run_trial(cfg, num_users, num_elements, b, trial_index, surface, with_recor
     d_rf = distortion(symbols, gains, channel, x_rf)
     p_out = average_power(sol.gains)
     papr_rf = papr(sol.gains)
-    results = [
-        trial_result(
-            SCHEME_SINGLE_RF, d_rf, p_out, papr_rf, trial_seed,
-            iterations_mean=float(np.mean(sol.iterations)),
-            converged_fraction=float(np.mean(sol.converged)),
-            negative_gain_events=int(np.sum(sol.negative_gain_events)),
-        )
+    key = (num_users, num_elements, b_label(b), trial_index, trial_seed)
+    rows = [
+        trial_result(SCHEME_SINGLE_RF, key, d_rf, p_out, papr_rf,
+                     iterations_mean=np.mean(sol.iterations),
+                     converged_fraction=np.mean(sol.converged))
     ]
 
     if SCHEME_MF in cfg.schemes:
@@ -398,14 +404,8 @@ def _run_trial(cfg, num_users, num_elements, b, trial_index, surface, with_recor
         x_mf, scales = mf_precode_block(channel, symbols, radiated)
         gains_mf = mf_post_gains(users, num_elements, float(np.mean(scales)))
         d_mf = distortion(symbols, gains_mf, channel, x_mf)
-        results.append(
-            trial_result(
-                SCHEME_MF, d_mf,
-                p_out=float(np.mean(radiated)),
-                papr_linear=float(np.max(radiated) / np.mean(radiated)),
-                trial_seed=trial_seed,
-            )
-        )
+        rows.append(trial_result(SCHEME_MF, key, d_mf, p_out=np.mean(radiated),
+                                 papr_linear=np.max(radiated) / np.mean(radiated)))
 
     record = None
     if with_record:
@@ -439,32 +439,14 @@ def _run_trial(cfg, num_users, num_elements, b, trial_index, surface, with_recor
                 "converged": sol.converged.tolist(),
                 "negative_gain_events": sol.negative_gain_events.tolist(),
             },
-            "results": [vars(r) for r in results],
+            "results": rows,
         }
-    return results, record
+    return rows, record
 
 
 def trial_rows(cfg, num_users, num_elements, b, trial_index, surface=None):
     """CSV row dicts (one per scheme) for a single trial."""
-    results, _ = run_trial(cfg, num_users, num_elements, b, trial_index, surface)
-    rows = []
-    for r in results:
-        rows.append({
-            "scheme": r.scheme,
-            "K": num_users,
-            "M": num_elements,
-            "B": b_label(b),
-            "trial_index": trial_index,
-            "trial_seed": r.trial_seed,
-            "D_dB": r.d_db,
-            "D_linear": r.d_linear,
-            "D_floored": int(r.d_db_floored),
-            "P_out": r.p_out,
-            "PAPR_dB": r.papr_db,
-            "iterations_mean": r.iterations_mean,
-            "converged_fraction": r.converged_fraction,
-        })
-    return rows
+    return run_trial(cfg, num_users, num_elements, b, trial_index, surface)[0]
 
 
 def sweep_points(cfg):
@@ -500,7 +482,10 @@ def _point_rows(cfg, num_elements, b, num_users, first_trial):
 
 def _read_existing_rows(path):
     """Rows already flushed to an interrupted trials CSV (complete lines only)."""
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ConfigError("resume", f"{path} is not UTF-8 text: {e}") from e
     if not text:
         return []
     lines = text.split("\n")
@@ -597,8 +582,9 @@ def run_sweep(cfg, output_dir, workers=1, resume=False, preset=None):
     (per-point aggregates) and ``manifest.json``.  Returns the summary rows.
     With ``resume``, the whole trials of an existing ``trials.csv`` are kept
     if it is a prefix of this sweep's plan and an existing ``manifest.json``
-    echoes this config (else ``ValueError``).  The manifest is written before
-    the first trial, with ``duration_seconds`` null, and again at the end.
+    echoes this config (else a ``ConfigError`` naming ``resume``).  The
+    manifest is written before the first trial, with ``duration_seconds``
+    null, and again at the end.
     Failed trials are listed in the manifest; once all three files are
     written, a ``TrialError`` gives their count and the first message.
 

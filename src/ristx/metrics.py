@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 DB_FLOOR = -200.0  # dB stand-in for an exact-zero linear value
@@ -67,40 +65,3 @@ def papr(gains):
     powers = np.abs(gains) ** 2
     return float(np.max(powers) / np.mean(powers))
 
-
-@dataclass(frozen=True)
-class TrialResult:
-    """Metrics of one channel realization for one transmission scheme."""
-
-    scheme: str
-    d_linear: float
-    d_db: float
-    d_db_floored: bool
-    p_out: float
-    papr_linear: float
-    papr_db: float
-    iterations_mean: float
-    converged_fraction: float
-    negative_gain_events: int
-    trial_seed: int            # of the trial's random streams
-
-
-def trial_result(scheme, d_linear, p_out, papr_linear, trial_seed,
-                 iterations_mean=float("nan"), converged_fraction=float("nan"),
-                 negative_gain_events=0):
-    """Assemble a TrialResult, deriving the dB forms."""
-    d_db, floored = db10(d_linear)
-    papr_db, _ = db10(papr_linear)
-    return TrialResult(
-        scheme=scheme,
-        d_linear=float(d_linear),
-        d_db=d_db,
-        d_db_floored=floored,
-        p_out=float(p_out),
-        papr_linear=float(papr_linear),
-        papr_db=papr_db,
-        iterations_mean=float(iterations_mean),
-        converged_fraction=float(converged_fraction),
-        negative_gain_events=int(negative_gain_events),
-        trial_seed=int(trial_seed),
-    )

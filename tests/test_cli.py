@@ -4,7 +4,14 @@ import pytest
 
 import ristx.harness
 from ristx.cli import main
-from ristx.harness import SUMMARY_CSV, TRIALS_CSV, MANIFEST_JSON, SimConfig
+from ristx.harness import (
+    MANIFEST_JSON,
+    SUMMARY_CSV,
+    TRIAL_COLUMNS,
+    TRIALS_CSV,
+    SimConfig,
+    format_row,
+)
 
 
 def tiny_config_dict():
@@ -162,11 +169,18 @@ class TestTrial:
         assert out[1].split(",")[3] == "inf"
 
     def test_json_record(self, capsys):
-        assert main(["trial", "-K", "2", "-M", "4", "-B", "1", "--seed", "3",
-                     "-N", "4", "--json"]) == 0
+        args = ["trial", "-K", "2", "-M", "4", "-B", "1", "--seed", "3",
+                "-N", "4", "--with-baseline"]
+        assert main([*args, "--json"]) == 0
         record = json.loads(capsys.readouterr().out)
         assert record["K"] == 2 and record["B"] == "1"
         assert "surface" in record and "solver" in record
+        # the record's results are the rows the CSV output prints
+        assert main(args) == 0
+        header, *lines = capsys.readouterr().out.splitlines(keepends=True)
+        assert header == ",".join(TRIAL_COLUMNS) + "\n"
+        assert [format_row(r, TRIAL_COLUMNS) for r in record["results"]] == lines
+        assert [r["scheme"] for r in record["results"]] == ["single_rf", "mf_digital"]
 
     def test_bad_bit_depth(self, capsys):
         assert main(["trial", "-K", "2", "-M", "4", "-B", "0", "--seed", "1"]) == 2
@@ -268,7 +282,8 @@ class TestSweep:
         ("manifest", "written under another config"),
         ("rows", "not a prefix of this sweep's plan"),
         ("header", "does not start with the expected header"),
-    ], ids=["manifest", "rows", "header"])
+        ("encoding", "is not UTF-8 text"),
+    ], ids=["manifest", "rows", "header", "encoding"])
     def test_rejected_resume_exits_2(self, tmp_path, capsys, damage, message):
         path = write_config(tmp_path, tiny_config_dict())
         out = tmp_path / "out"
@@ -279,9 +294,12 @@ class TestSweep:
             path = write_config(tmp_path, tiny_config_dict() | {"r_max": 1500.0})
         elif damage == "rows":
             rows = rows[1:]
-        else:
+        elif damage == "header":
             header = header.replace("D_dB", "distortion")
-        trials.write_text("\n".join([header, *rows[:1]]) + "\n")
+        if damage == "encoding":
+            trials.write_bytes(b"\xff\xfe x\n")
+        else:
+            trials.write_text("\n".join([header, *rows[:1]]) + "\n")
         capsys.readouterr()
         assert main(["sweep", path, "-o", str(out), "--resume"]) == 2
         err = capsys.readouterr().err

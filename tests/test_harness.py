@@ -14,6 +14,7 @@ import ristx
 from ristx.errors import ConfigError
 from ristx.harness import (
     SUMMARY_CSV,
+    TRIAL_COLUMNS,
     TRIALS_CSV,
     MANIFEST_JSON,
     SimConfig,
@@ -213,13 +214,14 @@ class TestSeeding:
 class TestRunTrial:
     def test_smoke_contract(self):
         cfg = tiny_config()
-        results, record = run_trial(cfg, 2, 4, 1, 0)
-        assert [r.scheme for r in results] == ["single_rf", "mf_digital"]
+        rows, record = run_trial(cfg, 2, 4, 1, 0)
+        assert [r["scheme"] for r in rows] == ["single_rf", "mf_digital"]
         assert record is None
         seed = derive_trial_streams(cfg.master_seed, 2, 4, 1, 0)[0]
-        for r in results:
-            assert np.isfinite(r.d_db) and r.p_out > 0 and r.papr_linear >= 1.0
-            assert r.trial_seed == seed
+        for r in rows:
+            assert list(r) == list(TRIAL_COLUMNS)
+            assert np.isfinite(r["D_dB"]) and r["P_out"] > 0 and r["PAPR_dB"] >= 0.0
+            assert r["trial_seed"] == seed
 
     def test_rows_have_expected_columns(self):
         cfg = tiny_config()
@@ -235,8 +237,8 @@ class TestRunTrial:
             m_list=(1,), b_list=(None,), k_list=(1,), num_intervals=1,
             shadow_std_db=0.0, schemes=("single_rf",), trials=1,
         )
-        results, _ = run_trial(cfg, 1, 1, None, 0)
-        assert results[0].d_linear <= 1e-12
+        rows, _ = run_trial(cfg, 1, 1, None, 0)
+        assert rows[0]["D_linear"] <= 1e-12
 
     def test_error_carries_trial_context(self):
         cfg = tiny_config()
@@ -277,7 +279,7 @@ class TestRunTrial:
         assert np.array_equal(surface.phase, fresh.phase)
         with_cache, _ = run_trial(cfg, 2, 4, 1, 0, surface=surface)
         without, _ = run_trial(cfg, 2, 4, 1, 0)
-        assert with_cache[0].d_linear == without[0].d_linear
+        assert with_cache[0]["D_linear"] == without[0]["D_linear"]
 
 
 class TestSweep:
@@ -341,14 +343,17 @@ class TestSweep:
             (tmp_path / "b" / TRIALS_CSV).read_bytes()
 
     # tiny_config plans 4 points x 3 trials x 2 schemes: 24 rows after the
-    # header.  A cut keeps this many lines, header included.
+    # header.  A cut keeps this many lines, header included.  A torn cut
+    # then writes the next line less its last character and its newline:
+    # a row cut inside its last value, which still has every column.
     @pytest.mark.parametrize(
-        "workers,cut",
-        [(w, cut) for w in (1, 2) for cut in (1, 8, 15, 25)],
-        ids=[f"{w}-{name}" for w in (1, 2)
-             for name in ("header", "mid-trial", "later-point", "complete")],
+        "workers,cut,torn",
+        [(w, cut, torn) for w in (1, 2) for cut, torn in
+         ((1, False), (8, False), (12, True), (15, False), (25, False))],
+        ids=[f"{w}-{name}" for w in (1, 2) for name in
+             ("header", "mid-trial", "mid-row", "later-point", "complete")],
     )
-    def test_resume_completes_identically(self, tmp_path, workers, cut):
+    def test_resume_completes_identically(self, tmp_path, workers, cut, torn):
         cfg = tiny_config()
         run_sweep(cfg, tmp_path / "full")
         full = (tmp_path / "full" / TRIALS_CSV).read_text()
@@ -356,7 +361,8 @@ class TestSweep:
         assert len(lines) == 25
         partial_dir = tmp_path / "partial"
         partial_dir.mkdir()
-        (partial_dir / TRIALS_CSV).write_text("\n".join(lines[:cut]) + "\n")
+        (partial_dir / TRIALS_CSV).write_text(
+            "\n".join(lines[:cut]) + "\n" + (lines[cut][:-1] if torn else ""))
         run_sweep(cfg, partial_dir, workers=workers, resume=True)
         assert (partial_dir / TRIALS_CSV).read_text() == full
         assert (partial_dir / SUMMARY_CSV).read_bytes() == \
