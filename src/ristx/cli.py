@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -105,8 +106,13 @@ def _cmd_trial(args):
     rows, record = run_trial(cfg, args.K, args.M, b, args.trial_index,
                              with_record=args.json)
     if args.json:
-        json.dump(record, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        # the benchmark row's solver columns are NaN, which JSON cannot spell
+        record["results"] = [
+            {name: None if isinstance(v, float) and math.isnan(v) else v
+             for name, v in row.items()}
+            for row in rows
+        ]
+        sys.stdout.write(json.dumps(record, indent=2, allow_nan=False) + "\n")
     else:
         sys.stdout.write(",".join(TRIAL_COLUMNS) + "\n")
         for row in rows:

@@ -348,11 +348,6 @@ def trial_result(scheme, key, d_linear, p_out, papr_linear,
     ), strict=True))
 
 
-class TrialError(RuntimeError):
-    """A module error annotated with the sweep point that raised it, or the
-    count and first such error of a sweep's failed trials."""
-
-
 def run_trial(cfg, num_users, num_elements, b, trial_index, surface=None,
               with_record=False):
     """Run one channel realization end to end.
@@ -360,19 +355,9 @@ def run_trial(cfg, num_users, num_elements, b, trial_index, surface=None,
     Returns (rows, record): the ``TRIAL_COLUMNS`` row of each configured
     scheme, and a JSON-serializable trial record, whose ``results`` are those
     rows, when ``with_record`` is set (else None).
-    Any error is raised as a ``TrialError`` naming the sweep point.
+    An error propagates as the failing module raised it; a sweep labels it
+    with the sweep point (see ``run_sweep``).
     """
-    try:
-        return _run_trial(cfg, num_users, num_elements, b, trial_index, surface,
-                          with_record)
-    except Exception as e:
-        raise TrialError(
-            f"trial failed at K={num_users} M={num_elements} B={b_label(b)} "
-            f"trial_index={trial_index}: {e}"
-        ) from e
-
-
-def _run_trial(cfg, num_users, num_elements, b, trial_index, surface, with_record):
     if surface is None:
         surface = build_surface(cfg, num_elements)
     trial_seed, users_rng, fading_rng, symbols_rng = derive_trial_streams(
@@ -475,8 +460,9 @@ def _point_rows(cfg, num_elements, b, num_users, first_trial):
     for idx in range(first_trial, cfg.trials):
         try:
             rows.extend(trial_rows(cfg, num_users, num_elements, b, idx, surface))
-        except TrialError as e:
-            failures.append(str(e))
+        except Exception as e:
+            failures.append(f"trial failed at K={num_users} M={num_elements} "
+                            f"B={b_label(b)} trial_index={idx}: {e}")
     return rows, failures
 
 
@@ -585,8 +571,10 @@ def run_sweep(cfg, output_dir, workers=1, resume=False, preset=None):
     echoes this config (else a ``ConfigError`` naming ``resume``).  The
     manifest is written before the first trial, with ``duration_seconds``
     null, and again at the end.
-    Failed trials are listed in the manifest; once all three files are
-    written, a ``TrialError`` gives their count and the first message.
+    A trial that raises is listed in the manifest's ``failures`` as
+    "trial failed at K=.. M=.. B=.. trial_index=..: <error>"; once all three
+    files are written, a ``RuntimeError`` gives their count and the first
+    message.
 
     ``workers`` is capped at the number of points that still have trials to
     run, and a cap of 1 runs them in this process; the manifest records the
@@ -654,8 +642,8 @@ def run_sweep(cfg, output_dir, workers=1, resume=False, preset=None):
     _write_json(manifest_path, manifest)
 
     if failures:
-        raise TrialError(f"{len(failures)} trial(s) failed, listed in "
-                         f"{MANIFEST_JSON}; the first: {failures[0]}")
+        raise RuntimeError(f"{len(failures)} trial(s) failed, listed in "
+                           f"{MANIFEST_JSON}; the first: {failures[0]}")
     return summary
 
 

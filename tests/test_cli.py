@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -175,12 +176,35 @@ class TestTrial:
         record = json.loads(capsys.readouterr().out)
         assert record["K"] == 2 and record["B"] == "1"
         assert "surface" in record and "solver" in record
-        # the record's results are the rows the CSV output prints
+        # the record's results are the rows the CSV output prints, with the
+        # CSV's nan written as null
         assert main(args) == 0
         header, *lines = capsys.readouterr().out.splitlines(keepends=True)
         assert header == ",".join(TRIAL_COLUMNS) + "\n"
-        assert [format_row(r, TRIAL_COLUMNS) for r in record["results"]] == lines
+        rows = [{k: math.nan if v is None else v for k, v in r.items()}
+                for r in record["results"]]
+        assert [format_row(r, TRIAL_COLUMNS) for r in rows] == lines
         assert [r["scheme"] for r in record["results"]] == ["single_rf", "mf_digital"]
+
+    def test_json_record_is_strict_json(self, capsys):
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        assert main(["trial", "-K", "2", "-M", "4", "-B", "1", "--seed", "3",
+                     "--with-baseline", "--json"]) == 0
+        record = json.loads(capsys.readouterr().out, parse_constant=reject)
+        mf = record["results"][1]
+        assert mf["scheme"] == "mf_digital"
+        assert mf["iterations_mean"] is None and mf["converged_fraction"] is None
+
+    def test_failed_trial_exits_1_without_traceback(self, capsys, monkeypatch):
+        def streams(*args):
+            raise FloatingPointError("injected")
+
+        monkeypatch.setattr(ristx.harness, "derive_trial_streams", streams)
+        assert main(["trial", "-K", "2", "-M", "4", "-B", "2", "--seed", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: injected\n"
 
     def test_bad_bit_depth(self, capsys):
         assert main(["trial", "-K", "2", "-M", "4", "-B", "0", "--seed", "1"]) == 2
@@ -257,6 +281,29 @@ class TestSweep:
         manifest = json.loads((out / MANIFEST_JSON).read_text())
         assert len(manifest["failures"]) == 1
         assert "trial_index=0: injected" in manifest["failures"][0]
+
+    def test_sweep_with_a_failed_trial_cannot_resume(self, tmp_path, capsys,
+                                                      monkeypatch):
+        # the failed trial leaves a gap in the plan, so the rows that follow
+        # it are not a prefix of the plan; re-run into a fresh directory
+        real = ristx.harness.derive_trial_streams
+
+        def streams(master_seed, num_users, num_elements, b, trial_index):
+            if trial_index == 0:
+                raise MemoryError("injected")
+            return real(master_seed, num_users, num_elements, b, trial_index)
+
+        path = write_config(tmp_path, tiny_config_dict())
+        out = tmp_path / "out"
+        with monkeypatch.context() as patch:
+            patch.setattr(ristx.harness, "derive_trial_streams", streams)
+            assert main(["sweep", path, "-o", str(out)]) == 1
+        kept = (out / TRIALS_CSV).read_bytes()
+        capsys.readouterr()
+        assert main(["sweep", path, "-o", str(out), "--resume"]) == 2
+        err = capsys.readouterr().err
+        assert "config field 'resume'" in err and "not a prefix of this sweep's plan" in err
+        assert (out / TRIALS_CSV).read_bytes() == kept
 
     def test_tiny_efficiency_sweeps_like_unit_efficiency(self, tmp_path):
         # ||Heff @ w||^2 scales with the element efficiency, the distortion

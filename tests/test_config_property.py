@@ -54,7 +54,7 @@ def test_config_is_rejected_by_field_or_sweeps_finite(data):
         assert err.field in SimConfig.__dataclass_fields__
         return
     with tempfile.TemporaryDirectory() as out:
-        run_sweep(cfg, out)  # raises TrialError if any trial failed
+        run_sweep(cfg, out)  # raises RuntimeError if any trial failed
         with open(f"{out}/{TRIALS_CSV}", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
     assert len(rows) == len(cfg.schemes)

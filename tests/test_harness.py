@@ -18,7 +18,6 @@ from ristx.harness import (
     TRIALS_CSV,
     MANIFEST_JSON,
     SimConfig,
-    TrialError,
     b_label,
     build_surface,
     derive_trial_streams,
@@ -240,9 +239,10 @@ class TestRunTrial:
         rows, _ = run_trial(cfg, 1, 1, None, 0)
         assert rows[0]["D_linear"] <= 1e-12
 
-    def test_error_carries_trial_context(self):
+    def test_error_is_the_module_error(self):
+        # the sweep point is named where the sweep collects the failure
         cfg = tiny_config()
-        with pytest.raises(TrialError, match=r"K=0 M=4 B=1 trial_index=5"):
+        with pytest.raises(ValueError, match=r"^num_users must be positive$"):
             run_trial(cfg, 0, 4, 1, 5)
 
     def test_record_schema(self):
@@ -439,7 +439,7 @@ class TestSweep:
                                         trial_index)
 
         monkeypatch.setattr("ristx.harness.derive_trial_streams", streams)
-        with pytest.raises(TrialError, match=r"^1 trial\(s\) failed.*injected"):
+        with pytest.raises(RuntimeError, match=r"^1 trial\(s\) failed.*injected"):
             run_sweep(cfg, tmp_path / "out")
         clean = (tmp_path / "clean" / TRIALS_CSV).read_text().splitlines()
         assert (tmp_path / "out" / TRIALS_CSV).read_text().splitlines() == [

@@ -3,7 +3,7 @@
 The README's library quick start must run as written, and ``ristx.harness``
 must keep calling through the names that ``perfbench/tracing.py`` patches,
 so that a traced replay still sees every stage of a trial.  Every ristx
-module must use each name it imports.
+module must use each name it imports and each private name it defines.
 """
 
 import ast
@@ -66,6 +66,28 @@ def test_every_module_uses_what_it_imports():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line} {name}"
                    for name, line in imported.items() if name not in used]
+    assert unused == []
+
+
+def test_every_private_module_name_is_used_in_its_module():
+    # a module-level _name that nothing in its module refers to is dead code
+    unused = []
+    for path in sorted((ROOT / "src" / "ristx").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for statement in tree.body:
+            if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+                names = [statement.name]
+            elif isinstance(statement, ast.Assign):
+                names = [t.id for t in statement.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if not name.startswith("_") or name.startswith("__"):
+                    continue
+                if not any(isinstance(node, ast.Name) and node.id == name
+                           for other in tree.body if other is not statement
+                           for node in ast.walk(other)):
+                    unused.append(f"{path.name}:{statement.lineno} {name}")
     assert unused == []
 
 
