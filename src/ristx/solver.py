@@ -15,6 +15,13 @@ of a midpoint are decided again by the exact two-candidate distance
 comparison, which fixes the tie and seam rule.  The projected entries are
 read from the codebook's precomputed ``exp(1j*phases)`` table, so every
 iterate is a codebook point bit for bit.
+
+The pseudo-inverse and spectral norm come from a thin QR of ``Heff^H``
+(``EffectiveMatrix.from_matrix``), with an SVD fallback when ``Heff`` has
+more rows than columns or is rank-deficient.  Under a quantized codebook
+most columns never leave their seed: a column whose gradient step is too
+short to carry any entry out of its quantization cell is certified unmoved
+(``_still_columns``) and skips the projection.
 """
 
 from __future__ import annotations
@@ -44,7 +51,8 @@ class PhaseCodebook:
     their points exp(1j*phases) on the unit circle; B is a whole number
     (not a bool) from 1 to ``MAX_CODEBOOK_BITS``, and anything else raises
     ``ValueError``.  ``bits=None`` is the continuous limit, i.e. any phase in
-    [-pi, pi].
+    [-pi, pi].  Both tables are read-only, so one codebook can serve any
+    number of solves.
     """
 
     bits: int | None
@@ -59,8 +67,10 @@ class PhaseCodebook:
             raise ValueError(
                 f"bits must be None or a whole number in 1..{MAX_CODEBOOK_BITS}")
         table = -np.pi + np.arange(2**self.bits) * (np.pi / 2 ** (self.bits - 1))
+        unit = np.exp(1j * table)
+        table.flags.writeable = unit.flags.writeable = False
         object.__setattr__(self, "phases", table)
-        object.__setattr__(self, "unit", np.exp(1j * table))
+        object.__setattr__(self, "unit", unit)
 
 
 def quantize_phases(values, codebook):
@@ -138,6 +148,15 @@ class EffectiveMatrix:
     its pseudo-inverse seeds the per-interval iteration and its squared
     spectral norm scales every step size, so both are computed once per
     channel realization and cached here.
+
+    For a (K, M) matrix ``H`` with K <= M both come from a thin QR
+    ``H^H = Q R``: ``pinv(H) = Q R^-H`` and the singular values of ``H`` are
+    those of the K x K factor ``R``.  QR does not square the condition
+    number, as the normal equations ``H H^H`` would.  A matrix with K > M,
+    and one whose smallest singular value is at most 1e-15 times the
+    largest (the rank cut of ``np.linalg.pinv``), take ``np.linalg.svd`` and
+    ``np.linalg.pinv`` instead.  The two routes agree to rounding, not bit
+    for bit.
     """
 
     matrix: np.ndarray
@@ -152,6 +171,13 @@ class EffectiveMatrix:
             raise ValueError("matrix has a non-finite entry")
         if not np.any(matrix):
             raise ValueError("spectral norm of a zero matrix")
+        num_rows, num_cols = matrix.shape
+        if num_rows <= num_cols:
+            q, r = np.linalg.qr(matrix.conj().T)
+            singular = np.linalg.svd(r, compute_uv=False)
+            if singular[-1] > 1e-15 * singular[0]:
+                pinv = np.linalg.solve(r, q.conj().T).conj().T
+                return cls(matrix, float(singular[0] ** 2), pinv)
         norm_sq = float(np.linalg.svd(matrix, compute_uv=False)[0] ** 2)
         return cls(matrix, norm_sq, np.linalg.pinv(matrix))
 
@@ -202,16 +228,39 @@ class SolverOptions:
 
 
 def _seed(eff, symbols, codebook):
-    """The seed iterate ``w``: the quantized entrywise phases of the
-    pseudo-inverse image.
+    """The seed iterate ``w``: the entrywise phases of the pseudo-inverse
+    image ``pinv @ s``, projected onto the codebook.
 
-    Entries of ``pinv @ s`` are normalized by their own modulus before
-    quantization; exact zeros take phase 0 there (and are then quantized).
+    Exact zeros of ``pinv @ s`` take phase 0 (``quantize_phases`` alone
+    would send them to the first phase, -pi).
     """
     raw = eff.pseudo_inverse @ symbols
-    mags = np.abs(raw)
-    unit = np.divide(raw, mags, out=np.ones_like(raw), where=mags > 0)
-    return quantize_phases(unit, codebook)
+    raw[raw == 0] = 1.0
+    return quantize_phases(raw, codebook)
+
+
+def _no_move_bound(bits):
+    """Step length that no entry of a ``bits``-bit iterate can leave its
+    quantization cell by: ``sin(pi / 2**bits)``, less a 1e-6 share.
+
+    A codebook point ``u`` and ``u + d`` with ``|d| < sin(h)``, ``h`` half a
+    phase spacing, are at most ``arcsin|d| < h`` apart in angle, so both
+    round to the phase of ``u``.  The margin is some 5e-11 rad at 16 bits
+    and more below, far above the rounding of ``d`` and of the angle.
+    """
+    return math.sin(math.pi / 2**bits) * (1 - 1e-6)
+
+
+def _still_columns(delta, codebook):
+    """Mask of the columns of a step ``delta`` that provably leave the
+    iterate unchanged: under a quantized codebook, those whose largest entry
+    modulus is below ``_no_move_bound``.  Under the continuous codebook
+    every step moves the iterate, and no column is still.
+    """
+    if codebook.bits is None:
+        return np.zeros(delta.shape[1], dtype=bool)
+    peak = np.max(delta.real * delta.real + delta.imag * delta.imag, axis=0)
+    return peak < _no_move_bound(codebook.bits) ** 2
 
 
 def _guarded_step(step_scale, gains, spectral_sq):
@@ -321,18 +370,23 @@ def solve_block(eff, symbols, codebook, options=None):
         steps, bad = _guarded_step(options.step_scale, gains, rho2)
         negative_events[active[bad]] += 1
 
-        w_next = quantize_phases(w_act + (matrix_h @ residual) * steps[None, :], codebook)
-        change = _column_norms_sq(w_next - w_act)
-
-        if active.size == num_cols:
-            w = w_next
-        else:
-            w[:, active] = w_next
+        # a certified column keeps its w bit for bit, with change 0.  w_act
+        # is this loop's own array (w itself while every column is active),
+        # so the moving columns are written in place.
+        delta = (matrix_h @ residual) * steps[None, :]
+        moving = ~_still_columns(delta, codebook)
+        change = np.zeros(active.size)
+        if np.any(moving):
+            w_old = w_act[:, moving]
+            w_new = quantize_phases(w_old + delta[:, moving], codebook)
+            change[moving] = _column_norms_sq(w_new - w_old)
+            w_act[:, moving] = w_new
+        if active.size != num_cols:
+            w[:, active] = w_act
         iterations[active] = t
 
         done = change < threshold
         converged[active[done]] = True
-        w_act = w_next
         if np.any(done):
             keep = ~done
             active = active[keep]

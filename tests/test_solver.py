@@ -3,9 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
+import ristx.solver
 from ristx.geometry import wrap_phase
 from ristx.harness import b_label
 from ristx.solver import (
+    MAX_CODEBOOK_BITS,
     EffectiveMatrix,
     PhaseCodebook,
     SolverOptions,
@@ -80,6 +82,13 @@ class TestCodebook:
             with pytest.raises(ValueError, match="bits must be None or a whole number"):
                 PhaseCodebook(bits)
         assert np.array_equal(PhaseCodebook(np.int64(4)).phases, PhaseCodebook(4).phases)
+
+    def test_tables_are_read_only(self):
+        # one codebook serves every solve of a sweep
+        cb = PhaseCodebook(3)
+        for table in (cb.phases, cb.unit):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0.0
 
     def test_labels(self):
         assert b_label(PhaseCodebook(4).bits) == "4"
@@ -240,7 +249,7 @@ class TestInit:
         w = _seed(eff, np.array([1.0 + 0j]), PhaseCodebook(1))
         assert np.allclose(w, [1.0, -1.0], atol=1e-15)
 
-    @pytest.mark.parametrize("bits", [1, 2, 4, None])
+    @pytest.mark.parametrize("bits", [*range(1, MAX_CODEBOOK_BITS + 1), None])
     def test_exact_zero_takes_phase_zero(self, bits):
         # pinv @ s is [1, 0]: the seed gives its exact zero phase 0, where
         # quantize_phases alone would send it to the first phase, -pi
@@ -326,6 +335,33 @@ class TestSpectralNorm:
         estimate = float(np.real(np.vdot(x, gram @ x)))
         cached = EffectiveMatrix.from_matrix(mat).spectral_norm_sq
         assert abs(cached - estimate) <= 1e-8 * estimate
+
+    @pytest.mark.parametrize("shape", [(1, 3), (4, 9), (2, 225), (5, 5), (32, 32), (32, 225)])
+    def test_qr_route_matches_svd_and_pinv(self, shape):
+        # K <= M and full row rank: the thin-QR route, equal to the SVD
+        # route up to rounding
+        rng = np.random.default_rng(18)
+        mat = crandn(rng, *shape)
+        eff = EffectiveMatrix.from_matrix(mat)
+        norm_sq = np.linalg.svd(mat, compute_uv=False)[0] ** 2
+        assert abs(eff.spectral_norm_sq - norm_sq) <= 1e-10 * norm_sq
+        pinv = np.linalg.pinv(mat)
+        assert np.max(np.abs(eff.pseudo_inverse - pinv)) <= 1e-10 * np.max(np.abs(pinv))
+
+    @pytest.mark.parametrize("case", ["K>M", "K>M-column", "repeated-row", "zero-row"])
+    def test_svd_route_when_k_exceeds_m_or_rank_deficient(self, case):
+        # K > M, or a rank cut by np.linalg.pinv's 1e-15: the SVD route,
+        # bit for bit
+        rng = np.random.default_rng(19)
+        mat = {"K>M": crandn(rng, 3, 2), "K>M-column": crandn(rng, 4, 1),
+               "repeated-row": crandn(rng, 4, 6), "zero-row": crandn(rng, 3, 5)}[case]
+        if case == "repeated-row":
+            mat[3] = mat[0]
+        if case == "zero-row":
+            mat[1] = 0.0
+        eff = EffectiveMatrix.from_matrix(mat)
+        assert np.array_equal(eff.pseudo_inverse, np.linalg.pinv(mat))
+        assert eff.spectral_norm_sq == np.linalg.svd(mat, compute_uv=False)[0] ** 2
 
     def test_zero_matrix(self):
         with pytest.raises(ValueError, match="^spectral norm of a zero matrix$"):
@@ -588,6 +624,34 @@ class TestBlockSolver:
             sol = solve_block(EffectiveMatrix.from_matrix(scale * mat), block, cb)
             assert np.array_equal(sol.w, ref.w)
             assert np.array_equal(sol.iterations, ref.iterations)
+
+    @pytest.mark.parametrize("bits", [1, 2, 4, 16])
+    def test_no_move_certificate_changes_no_output(self, bits, monkeypatch):
+        # the certificate only skips projections: with its bound at 0 every
+        # column goes through quantize_phases, and every field is the same
+        cb = PhaseCodebook(bits)
+        rng = np.random.default_rng(50 + bits)
+        problems = [(EffectiveMatrix.from_matrix(crandn(rng, k, m)), crandn(rng, k, 20))
+                    for k, m in [(8, 8)] * 4 + [(12, 16), (1, 4)]]
+        still_columns = ristx.solver._still_columns
+        masks = []
+
+        def recording(delta, codebook):
+            masks.append(still_columns(delta, codebook))
+            return masks[-1]
+
+        monkeypatch.setattr(ristx.solver, "_still_columns", recording)
+        certified = [solve_block(eff, block, cb) for eff, block in problems]
+        assert any(np.any(sol.iterations > 1) for sol in certified)
+        assert any(np.any(mask) for mask in masks)
+        del masks[:]
+        monkeypatch.setattr(ristx.solver, "_no_move_bound", lambda bits: 0.0)
+        projected = [solve_block(eff, block, cb) for eff, block in problems]
+        assert not any(np.any(mask) for mask in masks)
+        for got, want in zip(certified, projected):
+            for name in ("w", "gains", "iterations", "final_objectives", "converged",
+                         "negative_gain_events"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
     def test_row_count_validation(self):
         eff = EffectiveMatrix.from_matrix(np.eye(2, dtype=complex))

@@ -1,6 +1,7 @@
 """Property tests of the solver: the block solver's invariants on small
 random problems (codebook outputs, no objective above the seed's, and
-consistent counters), and the quantizer's tie rule at near-tie angles."""
+consistent counters), the quantizer's tie rule at near-tie angles, and the
+soundness of the no-move certificate at steps near its bound."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -11,7 +12,9 @@ from ristx.solver import (
     EffectiveMatrix,
     PhaseCodebook,
     _gain_and_objective,
+    _no_move_bound,
     _seed,
+    _still_columns,
     quantize_phases,
     solve_block,
 )
@@ -86,3 +89,44 @@ def test_quantizer_matches_exhaustive_argmin_at_near_ties(case):
     distances = np.abs(wrap_phase(cb.phases[:, None] - np.angle(values)[None, :]))
     expected = cb.unit[np.argmin(distances, axis=0)]
     assert np.array_equal(quantize_phases(values, cb), expected)
+
+
+@st.composite
+def steps_near_cells(draw):
+    """(codebook, (M, N) block of codebook points, (M, N) steps): each step
+    either lands ``w + d`` at an angle ``theta`` off ``w``'s phase, within
+    2 % of the cell edge, with the shortest such ``d`` (``|d| = sin theta``),
+    or has a random direction and a length within 2 % of the no-move bound,
+    or is short.  Points include both sides of the -pi/+pi seam."""
+    bits = draw(st.integers(1, MAX_CODEBOOK_BITS))
+    cb = PhaseCodebook(bits)
+    half = np.pi / 2**bits
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    index = st.sampled_from([0, 2**bits - 1]) | st.integers(0, 2**bits - 1)
+    near = st.floats(-0.02, 0.02)
+    points, steps = [], []
+    for _ in range(m * n):
+        i = draw(index)
+        phase, u = cb.phases[i], cb.unit[i]
+        kind = draw(st.sampled_from(["edge", "bound", "short"]))
+        if kind == "edge":
+            theta = draw(st.sampled_from([-1.0, 1.0])) * half * (1.0 + draw(near))
+            # past a right angle (1 bit) the foot point lies behind the
+            # origin; a point just off the origin in that direction stands in
+            modulus = max(np.cos(theta), 1e-3)
+            d = modulus * np.exp(1j * (phase + theta)) - u
+        else:
+            scale = 1.0 + draw(near) if kind == "bound" else draw(st.floats(0.0, 1.0))
+            d = scale * _no_move_bound(bits) * np.exp(1j * draw(st.floats(-np.pi, np.pi)))
+        points.append(u)
+        steps.append(d)
+    return cb, np.reshape(points, (m, n)), np.reshape(steps, (m, n))
+
+
+@settings(max_examples=500)
+@given(steps_near_cells())
+def test_certified_columns_do_not_move(case):
+    cb, w, delta = case
+    still = _still_columns(delta, cb)
+    moved = ~np.all(quantize_phases(w + delta, cb) == w, axis=0)
+    assert not np.any(still & moved)
