@@ -13,6 +13,7 @@ radiated power, i.e. the pattern integrates to 4*pi over the sphere.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -65,9 +66,14 @@ class SurfaceModel:
     attenuation: np.ndarray
     phase: np.ndarray
 
+    @functools.cached_property
     def complex_coeffs(self):
-        """Diagonal of the propagation matrix as a complex vector."""
-        return self.attenuation * np.exp(1j * self.phase)
+        """Diagonal of the propagation matrix as a complex vector,
+        computed on first access and read-only, so that every trial on the
+        surface shares it."""
+        coeffs = self.attenuation * np.exp(1j * self.phase)
+        coeffs.flags.writeable = False
+        return coeffs
 
 
 def propagation_coeffs(num_elements, wavelength, feed_distance, beamwidth, efficiency):

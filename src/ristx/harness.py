@@ -389,8 +389,9 @@ def run_trial(cfg, num_users, num_elements, b, trial_index, surface=None,
         x_mf, scales = mf_precode_block(channel, symbols, radiated)
         gains_mf = mf_post_gains(users, num_elements, float(np.mean(scales)))
         d_mf = distortion(symbols, gains_mf, channel, x_mf)
-        rows.append(trial_result(SCHEME_MF, key, d_mf, p_out=np.mean(radiated),
-                                 papr_linear=np.max(radiated) / np.mean(radiated)))
+        p_mf = np.mean(radiated)
+        rows.append(trial_result(SCHEME_MF, key, d_mf, p_out=p_mf,
+                                 papr_linear=np.max(radiated) / p_mf))
 
     record = None
     if with_record:

@@ -23,7 +23,7 @@ def db10(value):
 def transmit_block(surface, w_block, gains):
     """(M, N) block x(n) = gain(n) * diag(surface) @ w(n)."""
     gains = np.asarray(gains, dtype=float)
-    coeffs = surface.complex_coeffs()
+    coeffs = surface.complex_coeffs
     return coeffs[:, None] * np.asarray(w_block) * gains[None, :]
 
 

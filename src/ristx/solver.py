@@ -86,11 +86,13 @@ def quantize_phases(values, codebook):
     """
     values = np.asarray(values, dtype=complex)
     if codebook.bits is None:
-        w = np.where(values == 0, np.exp(-1j * np.pi), values)
-        return w / np.abs(w)
+        if not values.all():
+            values = np.where(values == 0, np.exp(-1j * np.pi), values)
+        return values / np.abs(values)
     entries = np.atleast_1d(values)
     idx = _nearest_index(np.angle(entries), codebook)
-    idx[entries == 0] = 0
+    if not entries.all():
+        idx[entries == 0] = 0
     return codebook.unit[idx].reshape(values.shape)
 
 
@@ -116,8 +118,10 @@ def _nearest_index(angles, codebook):
     idx &= levels - 1  # levels is a power of two: wraps slot levels to 0
     x -= nearest
     np.abs(x, out=x)
-    near_tie = ~(x <= 0.5 - 1e-9)
-    if np.any(near_tie):
+    # one reduction screens the block; NaN fails the test as it fails the
+    # mask, and an empty block passes
+    if not x.max(initial=0.0) <= 0.5 - 1e-9:
+        near_tie = ~(x <= 0.5 - 1e-9)
         idx[near_tie] = _bracket_index(angles[near_tie], codebook)
     return idx
 
@@ -184,7 +188,7 @@ class EffectiveMatrix:
     @classmethod
     def build(cls, post_gains, channel_matrix, surface):
         """Assemble from the physical factors of one realization."""
-        coeffs = surface.complex_coeffs()
+        coeffs = surface.complex_coeffs
         gains = np.asarray(post_gains)
         scaled = gains[:, None] * np.asarray(channel_matrix)
         return cls.from_matrix(scaled * coeffs[None, :])
@@ -235,7 +239,8 @@ def _seed(eff, symbols, codebook):
     would send them to the first phase, -pi).
     """
     raw = eff.pseudo_inverse @ symbols
-    raw[raw == 0] = 1.0
+    if not raw.all():
+        raw[raw == 0] = 1.0
     return quantize_phases(raw, codebook)
 
 
@@ -255,11 +260,15 @@ def _still_columns(delta, codebook):
     """Mask of the columns of a step ``delta`` that provably leave the
     iterate unchanged: under a quantized codebook, those whose largest entry
     modulus is below ``_no_move_bound``.  Under the continuous codebook
-    every step moves the iterate, and no column is still.
+    every step moves the iterate, and no column is still.  ``delta`` is a
+    2-D complex block with contiguous rows.
     """
     if codebook.bits is None:
         return np.zeros(delta.shape[1], dtype=bool)
-    peak = np.max(delta.real * delta.real + delta.imag * delta.imag, axis=0)
+    # the squares of the interleaved real and imaginary parts, summed per
+    # entry: the same |delta|**2 as real*real + imag*imag, bit for bit
+    sq = np.square(delta.view(float))
+    peak = np.max(sq[:, 0::2] + sq[:, 1::2], axis=0)
     return peak < _no_move_bound(codebook.bits) ** 2
 
 
@@ -299,10 +308,11 @@ def _gain_and_objective(eff, w_block, s_block):
     ``Heff`` (by the surface attenuation) leaves the guard where it was.
     """
     projected = eff.matrix @ w_block
-    denom = _column_norms_sq(projected)
+    projected_h = projected.conj()
+    denom = np.einsum("ij,ij->j", projected_h, projected).real
     if np.any(denom <= np.finfo(float).eps * eff.spectral_norm_sq * eff.matrix.shape[1]):
         raise ValueError("Heff @ w has (numerically) zero norm")
-    gains = np.einsum("ij,ij->j", projected.conj(), s_block).real / denom
+    gains = np.einsum("ij,ij->j", projected_h, s_block).real / denom
     residual = s_block - projected * gains[None, :]
     return gains, residual, _column_norms_sq(residual)
 
@@ -350,7 +360,9 @@ def solve_block(eff, symbols, codebook, options=None):
     converged = np.zeros(num_cols, dtype=bool)
     negative_events = np.zeros(num_cols, dtype=int)
     best_obj = np.full(num_cols, np.inf)
-    best_w = w.copy()
+    # best_w stays the iterate itself, the seed, until a projection first
+    # changes a column; only then does it become a copy of its own
+    best_w = w
     best_gain = np.zeros(num_cols)
 
     # w_act and s_act hold the active columns only; while every column is
@@ -364,7 +376,8 @@ def solve_block(eff, symbols, codebook, options=None):
         improved = objective < best_obj[active]
         hit = active[improved]
         best_obj[hit] = objective[improved]
-        best_w[:, hit] = w_act[:, improved]
+        if best_w is not w:
+            best_w[:, hit] = w_act[:, improved]
         best_gain[hit] = gains[improved]
 
         steps, bad = _guarded_step(options.step_scale, gains, rho2)
@@ -373,13 +386,16 @@ def solve_block(eff, symbols, codebook, options=None):
         # a certified column keeps its w bit for bit, with change 0.  w_act
         # is this loop's own array (w itself while every column is active),
         # so the moving columns are written in place.
-        delta = (matrix_h @ residual) * steps[None, :]
+        delta = matrix_h @ residual
+        delta *= steps
         moving = ~_still_columns(delta, codebook)
         change = np.zeros(active.size)
         if np.any(moving):
             w_old = w_act[:, moving]
             w_new = quantize_phases(w_old + delta[:, moving], codebook)
             change[moving] = _column_norms_sq(w_new - w_old)
+            if best_w is w and not np.array_equal(w_new, w_old):
+                best_w = w.copy()
             w_act[:, moving] = w_new
         if active.size != num_cols:
             w[:, active] = w_act
@@ -394,10 +410,11 @@ def solve_block(eff, symbols, codebook, options=None):
 
     # Evaluate the final iterate too: it is the last point visited and, for
     # threshold stops under coarse quantization, coincides with the last
-    # evaluated pair anyway.  After a single pass that moved no column the
-    # final iterate is the seed (best_w holds it then), and this would
-    # repeat pass 1 bit for bit and improve nothing.
-    if t != 1 or not np.array_equal(w, best_w):
+    # evaluated pair anyway.  If no projection changed a column (best_w is
+    # still w), the final iterate is the seed and pass 1 was the only pass,
+    # as a column that does not change stops under the positive threshold:
+    # this would repeat pass 1 bit for bit and improve nothing.
+    if best_w is not w:
         gains_fin, _, obj_fin = _gain_and_objective(eff, w, s_block)
         improved = obj_fin < best_obj
         best_obj[improved] = obj_fin[improved]

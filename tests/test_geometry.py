@@ -192,7 +192,18 @@ class TestPropagation:
         lam = 0.008
         rd = lam * math.sqrt(1 / math.pi)
         surf = propagation_coeffs(1, lam, rd, 2 * np.pi / 3, 1.0)
-        coeff = surf.complex_coeffs()
+        coeff = surf.complex_coeffs
         assert coeff.shape == (1,)
         expected = lam * math.sqrt(1 / math.sin(np.pi / 3)) / (4 * math.pi * rd)
         assert abs(coeff[0]) == pytest.approx(expected, rel=1e-12)
+
+    def test_complex_coeffs_computed_once_and_read_only(self):
+        # every trial on a surface reads the one array built with it
+        surf = propagation_coeffs(225, 0.008, 0.008 * math.sqrt(225 / math.pi),
+                                  2 * np.pi / 3, 1.0)
+        coeffs = surf.complex_coeffs
+        assert surf.complex_coeffs is coeffs
+        assert coeffs.tobytes() == (surf.attenuation * np.exp(1j * surf.phase)).tobytes()
+        assert not coeffs.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            coeffs[0] = 0.0

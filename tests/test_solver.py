@@ -11,10 +11,13 @@ from ristx.solver import (
     EffectiveMatrix,
     PhaseCodebook,
     SolverOptions,
+    _bracket_index,
     _gain_and_objective,
     _guarded_step,
     _nearest_index,
+    _no_move_bound,
     _seed,
+    _still_columns,
     quantize_phases,
     solve_block,
 )
@@ -145,6 +148,25 @@ class TestQuantize:
         assert w[1] == pytest.approx(1.0)
         wc = quantize_phases(np.array([0.0 + 0.0j]), CONT)
         assert np.angle(wc[0]) == pytest.approx(-np.pi)
+
+    @pytest.mark.parametrize("bits", [1, 4, 16, None])
+    @pytest.mark.parametrize("shape", [(3, 0), (0,)])
+    def test_empty_block_keeps_its_shape(self, bits, shape):
+        w = quantize_phases(np.zeros(shape, dtype=complex), PhaseCodebook(bits))
+        assert w.shape == shape
+
+    @pytest.mark.parametrize("bits", [1, 4, 16])
+    def test_nan_entry_takes_bracket_answer(self, bits):
+        # a NaN angle fails every comparison with the tie band, so the
+        # block's one-reduction screen must still send it to _bracket_index;
+        # the finite entry beside it keeps its own answer
+        cb = PhaseCodebook(bits)
+        values = np.array([complex(np.nan, 0.0), np.exp(0.3j), complex(0.0, np.nan)])
+        with np.errstate(invalid="ignore"):
+            w = quantize_phases(values, cb)
+            nan_idx = _bracket_index(np.angle(values[[0, 2]]), cb)
+        assert np.array_equal(w[[0, 2]], cb.unit[nan_idx])
+        assert np.array_equal(w[1], quantize_phases(values[1:2], cb)[0])
 
     def test_unit_moduli(self):
         u = 10.0 * crandn(np.random.default_rng(13), 300)
@@ -539,6 +561,48 @@ class TestGradientDirection:
         assert np.linalg.norm(grad - stacked) / np.linalg.norm(stacked) <= 1e-5
 
 
+def counting_evaluations(monkeypatch, eff, block, cb):
+    """The ``_gain_and_objective`` results of one ``solve_block`` call."""
+    evaluate = ristx.solver._gain_and_objective
+    results = []
+
+    def recording(*args):
+        results.append(evaluate(*args))
+        return results[-1]
+
+    monkeypatch.setattr(ristx.solver, "_gain_and_objective", recording)
+    solve_block(eff, block, cb)
+    monkeypatch.undo()
+    return results
+
+
+class TestCertificate:
+    @staticmethod
+    def componentwise_mask(delta, codebook):
+        peak = np.max(delta.real * delta.real + delta.imag * delta.imag, axis=0)
+        return peak < _no_move_bound(codebook.bits) ** 2
+
+    @pytest.mark.parametrize("bits", [1, 2, 4, 16])
+    def test_peak_matches_componentwise_formula(self, bits):
+        cb = PhaseCodebook(bits)
+        bound = _no_move_bound(bits)
+        rng = np.random.default_rng(70 + bits)
+        # column scales around the bound, then columns whose entries all
+        # sit within a few ulps of it
+        spread = bound * np.geomspace(0.1, 1.0, 64) * crandn(rng, 9, 64)
+        near = bound * np.exp(1j * rng.uniform(-np.pi, np.pi, (9, 64)))
+        near *= 1 + rng.integers(-4, 5, 64) * np.finfo(float).eps
+        subnormal = crandn(rng, 9, 64) * 1e-310
+        subnormal[:, ::2] += spread[:, ::2]
+        blocks = [spread, near, subnormal,
+                  1e150 * crandn(rng, 9, 64), 1e-150 * crandn(rng, 9, 64)]
+        for delta in blocks:
+            assert np.array_equal(_still_columns(delta, cb),
+                                  self.componentwise_mask(delta, cb))
+        masks = [_still_columns(delta, cb) for delta in blocks[:3]]
+        assert all(np.any(mask) and not np.all(mask) for mask in masks)
+
+
 class TestBlockSolver:
     @pytest.mark.parametrize("cb", [PhaseCodebook(2), CONT])
     def test_block_matches_per_column_solve(self, cb):
@@ -597,7 +661,7 @@ class TestBlockSolver:
         sol = solve_block(eff, crandn(rng, 3, 40), cb)
         assert np.all(np.isin(sol.w, cb.unit))
 
-    def test_no_move_block_reports_its_own_gain_and_objective(self):
+    def test_no_move_block_reports_its_own_gain_and_objective(self, monkeypatch):
         # a 1-bit block that stops at pass 1 on its seed skips the final
         # evaluation; what it reports must still be that evaluation, bitwise
         rng = np.random.default_rng(41)
@@ -610,6 +674,65 @@ class TestBlockSolver:
         gains, _, objectives = _gain_and_objective(eff, sol.w, block)
         assert np.array_equal(sol.gains, gains)
         assert np.array_equal(sol.final_objectives, objectives)
+        assert len(counting_evaluations(monkeypatch, eff, block, cb)) == 1
+
+    def test_pass_one_move_gets_final_evaluation(self, monkeypatch):
+        # at 4 bits and M=144 one moved element changes a column by
+        # 2 - 2*cos(pi/8) = 0.152, below the threshold 1.25e-3 * 144 = 0.18:
+        # a column moves in pass 1 and still stops there, so the final
+        # iterate is not the seed and must be evaluated once more
+        rng = np.random.default_rng(4)
+        cb = PhaseCodebook(4)
+        eff = EffectiveMatrix.from_matrix(crandn(rng, 16, 144))
+        block = crandn(rng, 16, 8)
+        sol = solve_block(eff, block, cb)
+        assert np.all(sol.iterations == 1)
+        assert not np.array_equal(sol.w, _seed(eff, block, cb))
+        evaluations = counting_evaluations(monkeypatch, eff, block, cb)
+        assert len(evaluations) == 2
+        gains, _, objectives = evaluations[-1]
+        assert np.array_equal(sol.gains, gains)
+        assert np.array_equal(sol.final_objectives, objectives)
+
+    def test_projection_that_changes_nothing_needs_no_final_evaluation(self, monkeypatch):
+        # columns the certificate cannot clear are projected in pass 1 and
+        # come back unchanged: the block stops on its seed after one
+        # evaluation, as a certified one does
+        rng = np.random.default_rng(0)
+        cb = PhaseCodebook(4)
+        eff = EffectiveMatrix.from_matrix(crandn(rng, 16, 64))
+        block = crandn(rng, 16, 12)
+        still_columns = ristx.solver._still_columns
+        masks = []
+
+        def recording(delta, codebook):
+            masks.append(still_columns(delta, codebook))
+            return masks[-1]
+
+        monkeypatch.setattr(ristx.solver, "_still_columns", recording)
+        sol = solve_block(eff, block, cb)
+        assert not np.all(masks[0])
+        assert np.all(sol.iterations == 1)
+        assert np.array_equal(sol.w, _seed(eff, block, cb))
+        evaluations = counting_evaluations(monkeypatch, eff, block, cb)
+        assert len(evaluations) == 1
+        gains, _, objectives = evaluations[0]
+        assert np.array_equal(sol.gains, gains)
+        assert np.array_equal(sol.final_objectives, objectives)
+
+    def test_column_that_moves_back_reports_its_seed(self):
+        # a column leaves its seed in pass 1 and the seed stays its best
+        # pair: the moves written into the iterate must not reach best_w
+        rng = np.random.default_rng(14)
+        cb = PhaseCodebook(2)
+        eff = EffectiveMatrix.from_matrix(crandn(rng, 8, 8))
+        block = crandn(rng, 8, 20)
+        sol = solve_block(eff, block, cb)
+        back = (sol.iterations > 1) & np.all(sol.w == _seed(eff, block, cb), axis=0)
+        assert np.any(back)
+        residual = block - (eff.matrix @ sol.w) * sol.gains
+        assert np.allclose(np.sum(np.abs(residual) ** 2, axis=0), sol.final_objectives,
+                           rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("cb", [PhaseCodebook(4), CONT])
     def test_heff_scale_leaves_iterates_alone(self, cb):
