@@ -4,7 +4,7 @@ benchmark, and writing per-trial CSV rows plus aggregates and a manifest.
 
 Reproducibility contract: every trial's random streams derive purely from
 (master_seed, K, M, B, trial_index), so results do not depend on execution
-order or worker count, and a sweep can resume by trial index.
+order or worker count, and a stopped sweep resumes at its first unrun point.
 """
 
 from __future__ import annotations
@@ -452,19 +452,19 @@ def format_row(row, columns):
     return ",".join(_format_value(row[c]) for c in columns) + "\n"
 
 
-def _point_rows(cfg, num_elements, b, num_users, first_trial):
-    """Worker entry: the rows and failure messages of one sweep point's
-    trials from ``first_trial`` on (picklable arguments only)."""
+def _point_rows(cfg, num_elements, b, num_users):
+    """Worker entry: the rows of one whole sweep point (picklable arguments
+    only).  A trial that raises ends the point with a ``RuntimeError``
+    "trial failed at K=.. M=.. B=.. trial_index=..: <error>"."""
     surface = build_surface(cfg, num_elements)
     rows = []
-    failures = []
-    for idx in range(first_trial, cfg.trials):
+    for idx in range(cfg.trials):
         try:
             rows.extend(trial_rows(cfg, num_users, num_elements, b, idx, surface))
         except Exception as e:
-            failures.append(f"trial failed at K={num_users} M={num_elements} "
-                            f"B={b_label(b)} trial_index={idx}: {e}")
-    return rows, failures
+            raise RuntimeError(f"trial failed at K={num_users} M={num_elements} "
+                               f"B={b_label(b)} trial_index={idx}: {e}") from e
+    return rows
 
 
 def _read_existing_rows(path):
@@ -473,15 +473,11 @@ def _read_existing_rows(path):
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as e:
         raise ConfigError("resume", f"{path} is not UTF-8 text: {e}") from e
-    if not text:
-        return []
-    lines = text.split("\n")
-    if lines[-1] != "":
-        lines = lines[:-1]  # drop a partially written final line
-    if not lines or lines[0] != ",".join(TRIAL_COLUMNS):
+    header = ",".join(TRIAL_COLUMNS) + "\n"
+    if not (text.startswith(header) or header.startswith(text)):  # torn header too
         raise ConfigError("resume", f"{path} does not start with the expected header")
     rows = []
-    for line in lines[1:]:
+    for line in text.split("\n")[1:-1]:  # the last line is empty or torn
         parts = line.split(",")
         if len(parts) != len(TRIAL_COLUMNS):
             break
@@ -499,8 +495,8 @@ def _planned_keys(cfg, points):
                 yield (scheme, str(k), str(m), b_label(b), str(idx), seed)
 
 
-def _whole_trials(rows, cfg, points):
-    """How many whole trials start ``rows``, once they are checked to be a
+def _whole_points(rows, cfg, points):
+    """How many whole points start ``rows``, once they are checked to be a
     prefix of this sweep's plan (a longer file is not)."""
     got = [tuple(row[c] for c in TRIAL_COLUMNS[:6]) for row in rows]
     if got != list(itertools.islice(_planned_keys(cfg, points), len(got))):
@@ -508,7 +504,7 @@ def _whole_trials(rows, cfg, points):
             "resume", "existing trials.csv is not a prefix of this sweep's plan; "
             "use a fresh output directory"
         )
-    return len(rows) // len(cfg.schemes)
+    return len(rows) // (cfg.trials * len(cfg.schemes))
 
 
 def _check_manifest_config(path, cfg):
@@ -567,19 +563,19 @@ def run_sweep(cfg, output_dir, workers=1, resume=False, preset=None):
     Output: ``trials.csv`` (one row per trial per scheme, in plan order,
     flushed point by point, whatever the worker count), ``summary.csv``
     (per-point aggregates) and ``manifest.json``.  Returns the summary rows.
-    With ``resume``, the whole trials of an existing ``trials.csv`` are kept
+    With ``resume``, the whole points of an existing ``trials.csv`` are kept
     if it is a prefix of this sweep's plan and an existing ``manifest.json``
     echoes this config (else a ``ConfigError`` naming ``resume``).  The
     manifest is written before the first trial, with ``duration_seconds``
     null, and again at the end.
-    A trial that raises is listed in the manifest's ``failures`` as
-    "trial failed at K=.. M=.. B=.. trial_index=..: <error>"; once all three
-    files are written, a ``RuntimeError`` gives their count and the first
-    message.
+    A failed trial (see ``_point_rows``) or a pool worker that dies ends the
+    sweep after the points before it: its ``RuntimeError`` propagates once
+    the manifest lists its message as the one entry of ``failures``, with
+    ``duration_seconds`` still null and no ``summary.csv``.  Like any early
+    stop, this leaves whole points of the plan, which ``resume`` completes.
 
-    ``workers`` is capped at the number of points that still have trials to
-    run, and a cap of 1 runs them in this process; the manifest records the
-    count used.
+    ``workers`` is capped at the number of points left to run, and a cap
+    of 1 runs them in this process; the manifest records the count used.
 
     Side effect: on glibc the calling process (and the pool workers it
     forks) keeps freed memory in its heap from then on instead of returning
@@ -594,17 +590,15 @@ def run_sweep(cfg, output_dir, workers=1, resume=False, preset=None):
 
     points = sweep_points(cfg)
     rows = _read_existing_rows(trials_path) if resume and trials_path.exists() else []
-    done = _whole_trials(rows, cfg, points)
+    done = _whole_points(rows, cfg, points)
     manifest_path = out / MANIFEST_JSON
     if resume and manifest_path.exists():
         _check_manifest_config(manifest_path, cfg)
-    kept = rows[: done * len(cfg.schemes)]
-    first_trials = [min(cfg.trials, max(0, done - i * cfg.trials))
-                    for i in range(len(points))]
+    kept = rows[: done * cfg.trials * len(cfg.schemes)]
+    todo = points[done:]
     # a forked pool starts all its workers at once: no more than can be busy
-    workers = max(1, min(workers, sum(f < cfg.trials for f in first_trials)))
+    workers = max(1, min(workers, len(todo)))
 
-    failures = []
     manifest = {
         "config": cfg.to_dict(),
         "preset": preset,
@@ -615,23 +609,28 @@ def run_sweep(cfg, output_dir, workers=1, resume=False, preset=None):
             started, _dt.timezone.utc
         ).isoformat(),
         "duration_seconds": None,
-        "failures": failures,
+        "failures": [],
     }
     _write_json(manifest_path, manifest)
+    (out / SUMMARY_CSV).unlink(missing_ok=True)  # an early stop leaves none
     pool = contextlib.nullcontext()
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # a slow import
 
         pool = ProcessPoolExecutor(workers)
-    with pool, open(trials_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(TRIAL_COLUMNS) + "\n")
-        fh.writelines(format_row(row, TRIAL_COLUMNS) for row in kept)
-        point_map = pool.map if workers > 1 else map
-        for rows, point_failures in point_map(
-                _point_rows, itertools.repeat(cfg), *zip(*points), first_trials):
-            fh.writelines(format_row(row, TRIAL_COLUMNS) for row in rows)
-            fh.flush()
-            failures.extend(point_failures)
+    try:
+        with pool, open(trials_path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(",".join(TRIAL_COLUMNS) + "\n")
+            fh.writelines(format_row(row, TRIAL_COLUMNS) for row in kept)
+            point_map = pool.map if workers > 1 else map
+            # a raising result cancels the points that have not started
+            for rows in point_map(_point_rows, [cfg] * len(todo), *zip(*todo)):
+                fh.writelines(format_row(row, TRIAL_COLUMNS) for row in rows)
+                fh.flush()
+    except RuntimeError as e:  # a failed trial, or a BrokenProcessPool
+        manifest["failures"].append(str(e))
+        _write_json(manifest_path, manifest)
+        raise
 
     summary = summarize(_read_existing_rows(trials_path), cfg)
     with open(out / SUMMARY_CSV, "w", encoding="utf-8", newline="") as fh:
@@ -641,10 +640,6 @@ def run_sweep(cfg, output_dir, workers=1, resume=False, preset=None):
 
     manifest["duration_seconds"] = time.time() - started
     _write_json(manifest_path, manifest)
-
-    if failures:
-        raise RuntimeError(f"{len(failures)} trial(s) failed, listed in "
-                           f"{MANIFEST_JSON}; the first: {failures[0]}")
     return summary
 
 

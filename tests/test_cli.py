@@ -265,27 +265,28 @@ class TestSweep:
         real = ristx.harness.derive_trial_streams
 
         def streams(master_seed, num_users, num_elements, b, trial_index):
-            if trial_index == 0:
+            if (num_users, trial_index) == (3, 0):
                 raise FloatingPointError("injected")
             return real(master_seed, num_users, num_elements, b, trial_index)
 
         monkeypatch.setattr(ristx.harness, "derive_trial_streams", streams)
-        path = write_config(tmp_path, tiny_config_dict())
+        path = write_config(tmp_path, tiny_config_dict() | {"k_list": [2, 3]})
         out = tmp_path / "out"
         assert main(["sweep", path, "-o", str(out)]) == 1
         err = capsys.readouterr().err
-        assert "1 trial(s) failed" in err and "injected" in err
+        message = "trial failed at K=3 M=4 B=2 trial_index=0: injected"
+        assert err == f"error: {message}\n"
+        # the whole K=2 point, and nothing of the K=3 point it stopped at
         rows = (out / TRIALS_CSV).read_text().splitlines()[1:]
         assert [row.split(",")[:5] for row in rows] == [
-            ["single_rf", "2", "4", "2", "1"], ["mf_digital", "2", "4", "2", "1"]]
+            [scheme, "2", "4", "2", idx] for idx in "01"
+            for scheme in ("single_rf", "mf_digital")]
         manifest = json.loads((out / MANIFEST_JSON).read_text())
-        assert len(manifest["failures"]) == 1
-        assert "trial_index=0: injected" in manifest["failures"][0]
+        assert manifest["failures"] == [message]
+        assert manifest["duration_seconds"] is None
+        assert not (out / SUMMARY_CSV).exists()
 
-    def test_sweep_with_a_failed_trial_cannot_resume(self, tmp_path, capsys,
-                                                      monkeypatch):
-        # the failed trial leaves a gap in the plan, so the rows that follow
-        # it are not a prefix of the plan; re-run into a fresh directory
+    def test_sweep_with_a_failed_trial_resumes(self, tmp_path, capsys, monkeypatch):
         real = ristx.harness.derive_trial_streams
 
         def streams(master_seed, num_users, num_elements, b, trial_index):
@@ -298,12 +299,12 @@ class TestSweep:
         with monkeypatch.context() as patch:
             patch.setattr(ristx.harness, "derive_trial_streams", streams)
             assert main(["sweep", path, "-o", str(out)]) == 1
-        kept = (out / TRIALS_CSV).read_bytes()
-        capsys.readouterr()
-        assert main(["sweep", path, "-o", str(out), "--resume"]) == 2
-        err = capsys.readouterr().err
-        assert "config field 'resume'" in err and "not a prefix of this sweep's plan" in err
-        assert (out / TRIALS_CSV).read_bytes() == kept
+        assert main(["sweep", path, "-o", str(out), "--resume"]) == 0
+        assert main(["sweep", path, "-o", str(tmp_path / "full")]) == 0
+        for name in (TRIALS_CSV, SUMMARY_CSV):
+            assert (out / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+        manifest = json.loads((out / MANIFEST_JSON).read_text())
+        assert manifest["failures"] == [] and manifest["duration_seconds"] >= 0.0
 
     def test_tiny_efficiency_sweeps_like_unit_efficiency(self, tmp_path):
         # ||Heff @ w||^2 scales with the element efficiency, the distortion

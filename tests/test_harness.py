@@ -5,6 +5,7 @@ import os
 import platform
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -431,6 +432,7 @@ class TestSweep:
     def test_failed_trial_fails_the_sweep_after_writing(self, tmp_path, monkeypatch):
         cfg = tiny_config()
         run_sweep(cfg, tmp_path / "clean")
+        run_sweep(cfg, tmp_path / "out")  # a stale summary.csv to remove
 
         def streams(master_seed, num_users, num_elements, b, trial_index):
             if (num_users, b, trial_index) == (3, None, 1):
@@ -439,17 +441,73 @@ class TestSweep:
                                         trial_index)
 
         monkeypatch.setattr("ristx.harness.derive_trial_streams", streams)
-        with pytest.raises(RuntimeError, match=r"^1 trial\(s\) failed.*injected"):
+        message = "trial failed at K=3 M=4 B=inf trial_index=1: injected"
+        with pytest.raises(RuntimeError, match=f"^{message}$"):
             run_sweep(cfg, tmp_path / "out")
+        # the points before (M=4, B=inf, K=3), the plan's last: 3 points x 3 trials
         clean = (tmp_path / "clean" / TRIALS_CSV).read_text().splitlines()
-        assert (tmp_path / "out" / TRIALS_CSV).read_text().splitlines() == [
-            line for line in clean if not line.split(",")[1:5] == ["3", "4", "inf", "1"]
-        ]
+        assert (tmp_path / "out" / TRIALS_CSV).read_text().splitlines() == \
+            clean[:1 + 3 * 3 * 2]
         manifest = json.loads((tmp_path / "out" / MANIFEST_JSON).read_text())
-        assert len(manifest["failures"]) == 1
-        assert "K=3 M=4 B=inf trial_index=1: injected" in manifest["failures"][0]
-        summary = (tmp_path / "out" / SUMMARY_CSV).read_text().splitlines()
-        assert [line.split(",")[4] for line in summary[1:]] == ["3"] * 6 + ["2"] * 2
+        assert manifest["failures"] == [message]
+        assert manifest["duration_seconds"] is None
+        assert not (tmp_path / "out" / SUMMARY_CSV).exists()
+
+    # Each kind of early stop: a trial that raises, in this process or in a
+    # pool worker, and a pool worker that dies (the fork inherits the patch).
+    @pytest.mark.parametrize("workers,stop", [(1, "raise"), (2, "raise"), (2, "die")],
+                             ids=["raise-1-worker", "raise-2-workers", "die-2-workers"])
+    def test_early_stop_leaves_whole_points_and_resumes(self, tmp_path, monkeypatch,
+                                                        workers, stop):
+        cfg = tiny_config()  # 4 points x 3 trials x 2 schemes
+        run_sweep(cfg, tmp_path / "full")
+
+        def streams(master_seed, num_users, num_elements, b, trial_index):
+            if (num_users, b, trial_index) == (2, None, 1):  # the third point
+                if stop == "die":
+                    os._exit(1)
+                raise MemoryError("injected")
+            return derive_trial_streams(master_seed, num_users, num_elements, b,
+                                        trial_index)
+
+        out = tmp_path / "out"
+        with monkeypatch.context() as patch:
+            patch.setattr("ristx.harness.derive_trial_streams", streams)
+            with pytest.raises(RuntimeError) as stopped:
+                run_sweep(cfg, out, workers=workers)
+        if stop == "die":
+            assert isinstance(stopped.value, BrokenProcessPool)
+        else:
+            assert str(stopped.value) == "trial failed at K=2 M=4 B=inf trial_index=1: injected"
+        manifest = json.loads((out / MANIFEST_JSON).read_text())
+        assert manifest["failures"] == [str(stopped.value)]
+        assert manifest["duration_seconds"] is None
+        assert not (out / SUMMARY_CSV).exists()
+        full = (tmp_path / "full" / TRIALS_CSV).read_text().splitlines()
+        rows = (out / TRIALS_CSV).read_text().splitlines()
+        # a dead worker may also take the point running beside it
+        points = [2] if stop == "raise" else [1, 2]
+        assert rows in [full[:1 + p * 3 * 2] for p in points]
+        run_sweep(cfg, out, workers=workers, resume=True)
+        for name in (TRIALS_CSV, SUMMARY_CSV):
+            assert (out / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+
+    def test_failed_point_cancels_the_points_not_started(self, tmp_path, monkeypatch):
+        cfg = tiny_config(k_list=tuple(range(2, 10)))  # 16 points x 3 trials
+        started = tmp_path / "started"
+
+        def streams(master_seed, num_users, num_elements, b, trial_index):
+            with open(started, "a") as fh:  # one byte per trial, from any process
+                fh.write(".")
+            if (num_users, b) == (2, 1):  # the first point
+                raise MemoryError("injected")
+            return derive_trial_streams(master_seed, num_users, num_elements, b,
+                                        trial_index)
+
+        monkeypatch.setattr("ristx.harness.derive_trial_streams", streams)
+        with pytest.raises(RuntimeError, match="K=2 M=4 B=1 trial_index=0: injected"):
+            run_sweep(cfg, tmp_path / "out", workers=2)
+        assert len(started.read_text()) < len(sweep_points(cfg)) * cfg.trials
 
     def test_summary_values_match_trials(self, tmp_path):
         cfg = tiny_config(b_list=(2,), k_list=(2,), trials=4, schemes=("single_rf",))
