@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import signal
 import sys
 from dataclasses import replace
 
@@ -19,6 +20,7 @@ from .harness import (
 )
 
 USAGE_EXIT = 2
+INTERRUPTED_EXIT = 130  # the shell's 128 + SIGINT
 
 
 def _load_config(path):
@@ -85,12 +87,23 @@ def _build_parser():
     return parser
 
 
+def _interrupt(signum, frame):
+    raise KeyboardInterrupt(f"interrupted by {signal.Signals(signum).name}")
+
+
 def _cmd_sweep(args):
     cfg = preset_config(args.preset) if args.preset else _load_config(args.config)
     overrides = {"trials": args.trials, "master_seed": args.seed}
     cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
-    run_sweep(cfg, args.output, workers=args.workers, resume=args.resume,
-              preset=args.preset)
+    # SIGTERM (a scheduler, `timeout`) stops the sweep as Ctrl-C does
+    stops = (signal.SIGINT, signal.SIGTERM)
+    previous = [signal.signal(sig, _interrupt) for sig in stops]
+    try:
+        run_sweep(cfg, args.output, workers=args.workers, resume=args.resume,
+                  preset=args.preset)
+    finally:
+        for sig, handler in zip(stops, previous):
+            signal.signal(sig, handler)
     return 0
 
 
@@ -132,13 +145,16 @@ _COMMANDS = {"sweep": _cmd_sweep, "trial": _cmd_trial, "validate-config": _cmd_v
 
 
 def main(argv=None):
-    """Run one command; a config error exits 2, any other error 1."""
+    """Run one command; a config error exits 2, an interrupt 130, others 1."""
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_EXIT
+    except KeyboardInterrupt as e:
+        print(f"error: {str(e) or 'interrupted'}", file=sys.stderr)
+        return INTERRUPTED_EXIT
     except Exception as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -15,6 +15,7 @@ import datetime as _dt
 import itertools
 import json
 import math
+import signal
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -557,6 +558,12 @@ def _keep_freed_heap():
         mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
+def _ignore_stop_signals():
+    """Pool worker initializer: the main process acts on a stop signal."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
+
+
 def run_sweep(cfg, output_dir, workers=1, resume=False, preset=None):
     """Run the configured Cartesian sweep and write the dataset.
 
@@ -568,9 +575,10 @@ def run_sweep(cfg, output_dir, workers=1, resume=False, preset=None):
     echoes this config (else a ``ConfigError`` naming ``resume``).  The
     manifest is written before the first trial, with ``duration_seconds``
     null, and again at the end.
-    A failed trial (see ``_point_rows``) or a pool worker that dies ends the
-    sweep after the points before it: its ``RuntimeError`` propagates once
-    the manifest lists its message as the one entry of ``failures``, with
+    A failed trial (see ``_point_rows``), a pool worker that dies or a
+    ``KeyboardInterrupt`` ends the sweep after the points before it: the
+    exception propagates once the manifest lists its message (or
+    "interrupted") as the one entry of ``failures``, with
     ``duration_seconds`` still null and no ``summary.csv``.  Like any early
     stop, this leaves whole points of the plan, which ``resume`` completes.
 
@@ -617,7 +625,7 @@ def run_sweep(cfg, output_dir, workers=1, resume=False, preset=None):
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # a slow import
 
-        pool = ProcessPoolExecutor(workers)
+        pool = ProcessPoolExecutor(workers, initializer=_ignore_stop_signals)
     try:
         with pool, open(trials_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(",".join(TRIAL_COLUMNS) + "\n")
@@ -627,8 +635,8 @@ def run_sweep(cfg, output_dir, workers=1, resume=False, preset=None):
             for rows in point_map(_point_rows, [cfg] * len(todo), *zip(*todo)):
                 fh.writelines(format_row(row, TRIAL_COLUMNS) for row in rows)
                 fh.flush()
-    except RuntimeError as e:  # a failed trial, or a BrokenProcessPool
-        manifest["failures"].append(str(e))
+    except (RuntimeError, KeyboardInterrupt) as e:  # also a BrokenProcessPool
+        manifest["failures"].append(str(e) or "interrupted")
         _write_json(manifest_path, manifest)
         raise
 

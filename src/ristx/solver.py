@@ -6,7 +6,8 @@ real amplification gain ``A`` minimizing ``||s - A * Heff @ w||^2``, where
 ``Heff`` collects receive gains, channel and surface propagation.
 The tuner is a projected gradient descent: closed-form gain update, gradient
 step on the unconstrained transmit vector, projection onto the codebook by
-nearest wrapped phase.
+nearest wrapped phase.  Its tuning is three fixed constants; a caller may
+only cap the passes, through ``solve_block``'s ``max_iterations``.
 
 The iterate is the unit-modulus ``w`` itself, and ``quantize_phases`` is
 its only projection.  For a quantized codebook it finds the nearest phase in
@@ -35,6 +36,17 @@ import numpy as np
 from .geometry import wrap_phase
 
 GAIN_FLOOR = 1e-12  # step-size guard when the gain update stalls at <= 0
+
+# The fixed tuning: step ``STEP_SCALE / (A * spectral_norm_sq)``, and a stop
+# once the squared iterate change falls below ``CHANGE_THRESHOLD_PER_ELEMENT
+# * M`` or after ``MAX_ITERATIONS`` passes.  The threshold is calibrated so
+# that the continuous codebook stops after the handful of passes that
+# reproduces the reference distortion curves, while a B-bit codebook changes
+# by at least 2 - 2*cos(pi/2**(B-1)) per moved element and so keeps
+# iterating until (almost) no element moves.
+STEP_SCALE = 0.5
+CHANGE_THRESHOLD_PER_ELEMENT = 1.25e-3
+MAX_ITERATIONS = 1000
 
 # Largest bit depth of a quantized codebook: 2**16 phases, a 1.5 MiB phase
 # and unit table.  Each further bit doubles the table, and the 1e-9 tie band
@@ -194,43 +206,6 @@ class EffectiveMatrix:
         return cls.from_matrix(scaled * coeffs[None, :])
 
 
-@dataclass(frozen=True)
-class SolverOptions:
-    """Tuning knobs of the gradient-projection loop.
-
-    ``step_scale`` is the base step factor in (0, 1).  ``change_threshold``
-    stops the loop once the squared iterate change falls below it; ``None``
-    resolves to 1.25e-3 per element.  The default is calibrated so that the
-    continuous codebook stops after the handful of passes that reproduces
-    the reference distortion curves, while quantized codebooks are barely
-    affected: a discrete codebook changes by at least 2 - 2*cos(pi/2**(B-1))
-    per moved element and therefore keeps iterating until (almost) no
-    element moves.  ``max_iterations`` (>= 1) caps the update count, and
-    construction raises ``ValueError`` on a knob outside its range.  Sweeps and
-    ``ristx trial`` always run these defaults; a library caller of
-    ``solve_block`` may pass others.
-    """
-
-    step_scale: float = 0.5
-    change_threshold: float | None = None
-    max_iterations: int = 1000
-
-    def __post_init__(self):
-        t, n = self.change_threshold, self.max_iterations
-        if not (isinstance(self.step_scale, numbers.Real) and 0 < self.step_scale < 1):
-            raise ValueError("step_scale must be a real in (0, 1)")
-        if t is not None and (isinstance(t, bool) or not isinstance(t, numbers.Real)
-                              or not 0 < t < math.inf):
-            raise ValueError("change_threshold must be None or a finite real > 0")
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-            raise ValueError("max_iterations must be an int >= 1, not a bool")
-
-    def resolved_threshold(self, num_elements):
-        if self.change_threshold is not None:
-            return self.change_threshold
-        return 1.25e-3 * num_elements
-
-
 def _seed(eff, symbols, codebook):
     """The seed iterate ``w``: the entrywise phases of the pseudo-inverse
     image ``pinv @ s``, projected onto the codebook.
@@ -272,7 +247,7 @@ def _still_columns(delta, codebook):
     return peak < _no_move_bound(codebook.bits) ** 2
 
 
-def _guarded_step(step_scale, gains, spectral_sq):
+def _guarded_step(gains, spectral_sq):
     """Vectorized step sizes with the non-positive-gain guard applied.
 
     Gains <= 0 would flip or blow up the literal rule, so their magnitude
@@ -281,7 +256,7 @@ def _guarded_step(step_scale, gains, spectral_sq):
     gains = np.asarray(gains, dtype=float)
     bad = gains <= 0.0
     safe = np.where(bad, np.maximum(np.abs(gains), GAIN_FLOOR), gains)
-    return step_scale / (safe * spectral_sq), bad
+    return STEP_SCALE / (safe * spectral_sq), bad
 
 
 @dataclass(frozen=True)
@@ -317,7 +292,7 @@ def _gain_and_objective(eff, w_block, s_block):
     return gains, residual, _column_norms_sq(residual)
 
 
-def solve_block(eff, symbols, codebook, options=None):
+def solve_block(eff, symbols, codebook, max_iterations=None):
     """Tune gain and phases for every column of a symbol block.
 
     Each column gets the best (w, A) pair it visited, its final iterate
@@ -330,8 +305,13 @@ def solve_block(eff, symbols, codebook, options=None):
     (``num_intervals``) and BLAS thread count the bytes are deterministic.
     A ``(K,)`` symbol vector is solved as one column, and every field of the
     result is a per-column array, of length 1 then.
+    ``max_iterations`` caps the passes of every column; ``None`` means
+    ``MAX_ITERATIONS``, and anything but a whole number >= 1 (a bool
+    included) raises ``ValueError``.
     """
-    options = options or SolverOptions()
+    cap = MAX_ITERATIONS if max_iterations is None else max_iterations
+    if isinstance(cap, bool) or not isinstance(cap, numbers.Integral) or cap < 1:
+        raise ValueError("max_iterations must be None or a whole number >= 1, not a bool")
     # C order, like the column subsets taken later in the loop
     s_block = np.ascontiguousarray(symbols, dtype=complex)
     if s_block.ndim == 1:
@@ -349,7 +329,7 @@ def solve_block(eff, symbols, codebook, options=None):
         raise ValueError("a symbol column is identically zero")
 
     num_elements, num_cols = eff.matrix.shape[1], s_block.shape[1]
-    threshold = options.resolved_threshold(num_elements)
+    threshold = CHANGE_THRESHOLD_PER_ELEMENT * num_elements
     rho2 = eff.spectral_norm_sq
     matrix_h = eff.matrix.conj().T
 
@@ -369,7 +349,7 @@ def solve_block(eff, symbols, codebook, options=None):
     # active they are the full arrays, not copies.
     active = np.arange(num_cols)
     t = 0
-    while active.size and t < options.max_iterations:
+    while active.size and t < cap:
         t += 1
         gains, residual, objective = _gain_and_objective(eff, w_act, s_act)
 
@@ -380,7 +360,7 @@ def solve_block(eff, symbols, codebook, options=None):
             best_w[:, hit] = w_act[:, improved]
         best_gain[hit] = gains[improved]
 
-        steps, bad = _guarded_step(options.step_scale, gains, rho2)
+        steps, bad = _guarded_step(gains, rho2)
         negative_events[active[bad]] += 1
 
         # a certified column keeps its w bit for bit, with change 0.  w_act
@@ -421,11 +401,5 @@ def solve_block(eff, symbols, codebook, options=None):
         best_w[:, improved] = w[:, improved]
         best_gain[improved] = gains_fin[improved]
 
-    return BlockSolution(
-        w=best_w,
-        gains=best_gain,
-        iterations=iterations,
-        final_objectives=best_obj,
-        converged=converged,
-        negative_gain_events=negative_events,
-    )
+    return BlockSolution(best_w, best_gain, iterations, best_obj, converged,
+                         negative_events)

@@ -10,6 +10,7 @@ import itertools
 import numpy as np
 import pytest
 
+from helpers import brute_force_optimum, crandn
 from ristx.channel import (
     assemble_channel,
     compensating_gains,
@@ -34,10 +35,6 @@ from ristx.solver import (
 
 K_RANGE = tuple(range(2, 33, 2))
 M_LIST = (64, 121, 225)
-
-
-def crandn(rng, *shape):
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
 
 
 def report(num, name, ok, detail=""):
@@ -145,22 +142,6 @@ def test_criterion_05_baseline_crossover(fig2):
     assert report(5, "baseline crossover", ok,
                   f"single-RF M=121 beats digital MF M=225 for all K>=4: {ok} "
                   f"(smallest margin {worst[1]:+.2f} dB at K={worst[0]})")
-
-
-def brute_force_optimum(matrix, s):
-    best = np.inf
-    for bits in itertools.product((1.0, -1.0), repeat=matrix.shape[1]):
-        w = np.array(bits, dtype=complex)
-        hw = matrix @ w
-        den = float(np.real(np.vdot(hw, hw)))
-        if den < 1e-300:
-            obj = float(np.real(np.vdot(s, s)))
-        else:
-            gain = float(np.real(np.vdot(hw, s))) / den
-            r = s - gain * hw
-            obj = float(np.real(np.vdot(r, r)))
-        best = min(best, obj)
-    return best
 
 
 def test_criterion_06_oracle_equivalence():

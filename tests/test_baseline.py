@@ -1,24 +1,9 @@
 import numpy as np
 import pytest
 
+from helpers import crandn, users
 from ristx.baseline import mf_post_gains, mf_precode_block
-from ristx.channel import Users
 from ristx.metrics import distortion
-
-
-def crandn(rng, *shape):
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
-
-
-def users(shadowing=1.0, r_norm=1.0, count=1, nu=3.2):
-    # ``count`` users, each with the given (scalar or per-user) values
-    shadowing = np.broadcast_to(np.asarray(shadowing, dtype=float), (count,))
-    r_norm = np.broadcast_to(np.asarray(r_norm, dtype=float), (count,))
-    return Users(
-        distance=100.0 * r_norm,
-        shadowing=shadowing,
-        path_gain=shadowing / r_norm**nu,
-    )
 
 
 def precode_column(h, s, target):

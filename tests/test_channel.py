@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+from helpers import users
 from ristx.channel import (
-    Users,
     assemble_channel,
     compensating_gains,
     draw_fading,
@@ -16,17 +16,6 @@ def make_cell(**kw):
     base = dict(r_min=100.0, r_max=1000.0, path_loss_exponent=3.2, shadow_std_db=5.0)
     base.update(kw)
     return SimConfig(**base)
-
-
-def users(shadowing=1.0, r_norm=1.0, count=1, nu=3.2, r_ref=100.0):
-    # ``count`` users, each with the given (scalar or per-user) values
-    shadowing = np.broadcast_to(np.asarray(shadowing, dtype=float), (count,))
-    r_norm = np.broadcast_to(np.asarray(r_norm, dtype=float), (count,))
-    return Users(
-        distance=r_norm * r_ref,
-        shadowing=shadowing,
-        path_gain=shadowing / r_norm**nu,
-    )
 
 
 class TestDrawUsers:

@@ -1,5 +1,12 @@
+import contextlib
 import json
 import math
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -197,6 +204,14 @@ class TestTrial:
         assert mf["scheme"] == "mf_digital"
         assert mf["iterations_mean"] is None and mf["converged_fraction"] is None
 
+    def test_interrupted_trial_exits_130(self, capsys, monkeypatch):
+        def streams(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(ristx.harness, "derive_trial_streams", streams)
+        assert main(["trial", "-K", "2", "-M", "4", "-B", "2"]) == 130
+        assert capsys.readouterr().err == "error: interrupted\n"
+
     def test_failed_trial_exits_1_without_traceback(self, capsys, monkeypatch):
         def streams(*args):
             raise FloatingPointError("injected")
@@ -387,3 +402,80 @@ class TestUsage:
             main(argv)
         assert err.value.code == 2
         assert flag in capsys.readouterr().err
+
+
+# A sweep in a child process whose trials each sleep 25 ms, so that a signal
+# sent once the first point is flushed lands with most of the sweep to run.
+SLOW_SWEEP = """
+import sys, time
+import ristx.harness
+from ristx.cli import main
+
+streams = ristx.harness.derive_trial_streams
+
+def slow_streams(*args):
+    time.sleep(0.025)
+    return streams(*args)
+
+ristx.harness.derive_trial_streams = slow_streams
+sys.exit(main(sys.argv[1:]))
+"""
+SIGNAL_CONFIG = SimConfig(m_list=(16,), b_list=(1, 4), k_list=tuple(range(2, 26, 2)),
+                          num_intervals=8, trials=3, master_seed=11)
+
+
+@pytest.fixture(scope="module")
+def signal_reference(tmp_path_factory):
+    """The config file and the uninterrupted dataset, shared by every case."""
+    root = tmp_path_factory.mktemp("signal")
+    path = write_config(root, SIGNAL_CONFIG.to_dict())
+    assert main(["sweep", path, "-o", str(root / "full")]) == 0
+    return path, {name: (root / "full" / name).read_bytes()
+                  for name in (TRIALS_CSV, SUMMARY_CSV)}
+
+
+class TestSignals:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name,send", [
+        ("SIGINT", lambda proc: os.killpg(proc.pid, signal.SIGINT)),  # as a terminal
+        ("SIGTERM", lambda proc: os.kill(proc.pid, signal.SIGTERM)),
+    ], ids=["sigint-group", "sigterm-pid"])
+    def test_signal_stops_sweep_with_record(self, tmp_path, signal_reference,
+                                            workers, name, send):
+        path, full = signal_reference
+        out = tmp_path / "out"
+        src = str(Path(ristx.harness.__file__).parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.Popen(
+            [sys.executable, "-c", SLOW_SWEEP, "sweep", path, "-o", str(out),
+             "--workers", str(workers)],
+            env=env, stderr=subprocess.PIPE, text=True, start_new_session=True)
+        try:
+            point_bytes = len(b"\n".join(full[TRIALS_CSV].split(b"\n")[:1 + 3 * 2]))
+            deadline = time.monotonic() + 30
+            while not ((out / TRIALS_CSV).exists()
+                       and (out / TRIALS_CSV).stat().st_size > point_bytes):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.005)
+            send(proc)
+            _, err = proc.communicate(timeout=30)
+        finally:
+            # the group: on failure, pool workers can outlive their parent
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+        assert proc.returncode == 130
+        assert err == f"error: interrupted by {name}\n"
+        manifest = json.loads((out / MANIFEST_JSON).read_text())
+        assert manifest["failures"] == [f"interrupted by {name}"]
+        assert manifest["duration_seconds"] is None
+        assert not (out / SUMMARY_CSV).exists()
+        # a signal may land while a point is written: a byte prefix, not
+        # necessarily whole points
+        cut = (out / TRIALS_CSV).read_bytes()
+        assert len(cut) < len(full[TRIALS_CSV]) and full[TRIALS_CSV].startswith(cut)
+        before = [signal.getsignal(sig) for sig in (signal.SIGINT, signal.SIGTERM)]
+        assert main(["sweep", path, "-o", str(out), "--resume"]) == 0
+        assert [signal.getsignal(sig) for sig in (signal.SIGINT, signal.SIGTERM)] == before
+        for file_name, data in full.items():
+            assert (out / file_name).read_bytes() == data

@@ -492,6 +492,21 @@ class TestSweep:
         for name in (TRIALS_CSV, SUMMARY_CSV):
             assert (out / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
 
+    def test_bare_keyboard_interrupt_recorded_as_interrupted(self, tmp_path, monkeypatch):
+        def streams(master_seed, num_users, num_elements, b, trial_index):
+            if (num_users, trial_index) == (3, 1):
+                raise KeyboardInterrupt
+            return derive_trial_streams(master_seed, num_users, num_elements, b,
+                                        trial_index)
+
+        monkeypatch.setattr("ristx.harness.derive_trial_streams", streams)
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(tiny_config(), tmp_path)
+        manifest = json.loads((tmp_path / MANIFEST_JSON).read_text())
+        assert manifest["failures"] == ["interrupted"]
+        assert manifest["duration_seconds"] is None
+        assert not (tmp_path / SUMMARY_CSV).exists()
+
     def test_failed_point_cancels_the_points_not_started(self, tmp_path, monkeypatch):
         cfg = tiny_config(k_list=tuple(range(2, 10)))  # 16 points x 3 trials
         started = tmp_path / "started"

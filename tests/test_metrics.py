@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import crandn
 from ristx.geometry import SurfaceModel
 from ristx.harness import trial_result
 from ristx.metrics import (
@@ -10,10 +11,6 @@ from ristx.metrics import (
     papr,
     transmit_block,
 )
-
-
-def crandn(rng, *shape):
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
 
 
 def identity_gains(k):

@@ -1,16 +1,17 @@
-import itertools
-
 import numpy as np
 import pytest
 
 import ristx.solver
+from helpers import brute_force_optimum, crandn
 from ristx.geometry import wrap_phase
 from ristx.harness import b_label
 from ristx.solver import (
+    CHANGE_THRESHOLD_PER_ELEMENT,
     MAX_CODEBOOK_BITS,
+    MAX_ITERATIONS,
+    STEP_SCALE,
     EffectiveMatrix,
     PhaseCodebook,
-    SolverOptions,
     _bracket_index,
     _gain_and_objective,
     _guarded_step,
@@ -23,10 +24,6 @@ from ristx.solver import (
 )
 
 CONT = PhaseCodebook(None)
-
-
-def crandn(rng, *shape):
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
 
 
 def random_problem(rng, num_users, num_elements):
@@ -43,23 +40,6 @@ def column_gain(eff, w, s):
 def objective(eff, w, s, gain):
     r = s - gain * (eff.matrix @ w)
     return float(np.real(np.vdot(r, r)))
-
-
-def brute_force_optimum(matrix, s):
-    """Exhaustive search over all +-1 patterns with the per-pattern optimal gain."""
-    best = np.inf
-    for bits in itertools.product((1.0, -1.0), repeat=matrix.shape[1]):
-        w = np.array(bits, dtype=complex)
-        hw = matrix @ w
-        den = float(np.real(np.vdot(hw, hw)))
-        if den < 1e-300:
-            obj = float(np.real(np.vdot(s, s)))
-        else:
-            gain = float(np.real(np.vdot(hw, s))) / den
-            r = s - gain * hw
-            obj = float(np.real(np.vdot(r, r)))
-        best = min(best, obj)
-    return best
 
 
 class TestCodebook:
@@ -316,16 +296,16 @@ class TestGain:
 
 class TestStepSize:
     def test_direct_substitution(self):
-        assert _guarded_step(0.5, np.array([1.0]), 4.0)[0][0] == pytest.approx(0.125)
+        assert _guarded_step(np.array([1.0]), 4.0)[0][0] == pytest.approx(STEP_SCALE / 4.0)
 
     def test_simplified_identity(self):
-        assert _guarded_step(0.5, np.array([2.0]), 4.0)[0][0] == pytest.approx(0.0625)
+        assert _guarded_step(np.array([2.0]), 4.0)[0][0] == pytest.approx(STEP_SCALE / 8.0)
 
     def test_guard_uses_magnitude_with_floor(self):
-        steps, bad = _guarded_step(0.5, np.array([-1.0, 2.0, 0.0]), 1.0)
-        assert steps[0] == pytest.approx(0.5)
-        assert steps[1] == pytest.approx(0.25)
-        assert steps[2] == pytest.approx(0.5 / 1e-12)
+        steps, bad = _guarded_step(np.array([-1.0, 2.0, 0.0]), 1.0)
+        assert steps[0] == pytest.approx(STEP_SCALE)
+        assert steps[1] == pytest.approx(STEP_SCALE / 2.0)
+        assert steps[2] == pytest.approx(STEP_SCALE / 1e-12)
         assert list(bad) == [True, False, True]
 
 
@@ -468,17 +448,15 @@ class TestSolve:
 
     def test_continuous_near_fixed_point_when_converged(self):
         rng = np.random.default_rng(24)
-        opts = SolverOptions()
         for _ in range(10):
             eff, s = random_problem(rng, 2, 8)
-            sol = solve_block(eff, s, CONT, opts)
+            sol = solve_block(eff, s, CONT)
             assert sol.converged[0]
             gain = column_gain(eff, sol.w[:, 0], s)
-            psi, _ = _guarded_step(opts.step_scale, np.array([gain]),
-                                   eff.spectral_norm_sq)
+            psi, _ = _guarded_step(np.array([gain]), eff.spectral_norm_sq)
             grad_dir = eff.matrix.conj().T @ (s - gain * (eff.matrix @ sol.w[:, 0]))
             w_next = quantize_phases(sol.w[:, 0] + psi[0] * grad_dir, CONT)
-            threshold = opts.resolved_threshold(8)
+            threshold = CHANGE_THRESHOLD_PER_ELEMENT * 8
             assert np.linalg.norm(w_next - sol.w[:, 0]) < np.sqrt(threshold)
 
     def test_deterministic(self):
@@ -635,7 +613,7 @@ class TestBlockSolver:
         rng = np.random.default_rng(36)
         eff = EffectiveMatrix.from_matrix(crandn(rng, 3, 8))
         block = crandn(rng, 3, 5)
-        sol = solve_block(eff, block, CONT, SolverOptions(max_iterations=1))
+        sol = solve_block(eff, block, CONT, max_iterations=1)
         assert np.array_equal(sol.iterations, np.ones(5, dtype=int))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1, -np.inf)],
@@ -799,30 +777,52 @@ class TestEffectiveMatrix:
         )
 
 
-class TestSolverOptions:
-    def test_default_threshold_scales_with_elements(self):
-        opts = SolverOptions()
-        assert opts.resolved_threshold(64) == pytest.approx(0.08)
-        assert SolverOptions(change_threshold=0.5).resolved_threshold(64) == 0.5
+class TestIterationCap:
+    @staticmethod
+    def problem():
+        rng = np.random.default_rng(37)
+        return EffectiveMatrix.from_matrix(crandn(rng, 3, 8)), crandn(rng, 3, 4)
 
-    @pytest.mark.parametrize(
-        "field,value",
-        [
-            ("step_scale", -5.0), ("step_scale", 0.0), ("step_scale", 1.0),
-            ("step_scale", float("nan")), ("step_scale", float("inf")),
-            ("step_scale", True), ("step_scale", "0.5"),
-            ("change_threshold", -1.0), ("change_threshold", 0.0),
-            ("change_threshold", float("nan")), ("change_threshold", float("inf")),
-            ("change_threshold", True), ("change_threshold", "0.1"),
-            ("max_iterations", 0), ("max_iterations", -3), ("max_iterations", True),
-            ("max_iterations", 2.5), ("max_iterations", 10.0),
-        ],
-    )
-    def test_validation(self, field, value):
-        with pytest.raises(ValueError, match=field):
-            SolverOptions(**{field: value})
+    @pytest.mark.parametrize("value", [0, -3, True, 2.5, 10.0])
+    def test_validation(self, value):
+        eff, block = self.problem()
+        with pytest.raises(ValueError, match="max_iterations"):
+            solve_block(eff, block, CONT, max_iterations=value)
 
     def test_accepted_edges(self):
-        opts = SolverOptions(step_scale=np.float64(0.999), change_threshold=1e-300,
-                             max_iterations=np.int64(1))
-        assert opts.max_iterations == 1
+        eff, block = self.problem()
+        sol = solve_block(eff, block, CONT, max_iterations=np.int64(1))
+        assert np.array_equal(sol.iterations, np.ones(4, dtype=int))
+
+    @pytest.mark.parametrize("cb", [PhaseCodebook(1), PhaseCodebook(4), CONT],
+                             ids=["B1", "B4", "continuous"])
+    def test_none_is_the_default_cap(self, cb):
+        eff, block = self.problem()
+        default = solve_block(eff, block, cb)
+        capped = solve_block(eff, block, cb, max_iterations=MAX_ITERATIONS)
+        for name in ("w", "gains", "iterations", "final_objectives", "converged",
+                     "negative_gain_events"):
+            assert getattr(default, name).tobytes() == getattr(capped, name).tobytes(), name
+
+    @pytest.mark.parametrize("num_users,num_elements", [(2, 8), (32, 64)])
+    def test_threshold_scales_with_elements(self, num_users, num_elements):
+        # replay the loop on one column: it stops at the first pass whose
+        # squared change falls below CHANGE_THRESHOLD_PER_ELEMENT * M
+        rng = np.random.default_rng(38 + num_elements)
+        threshold = CHANGE_THRESHOLD_PER_ELEMENT * num_elements
+        passes = []
+        for _ in range(5):
+            eff, s = random_problem(rng, num_users, num_elements)
+            sol = solve_block(eff, s, CONT)
+            w = _seed(eff, s[:, None], CONT)
+            changes = []
+            while not changes or changes[-1] >= threshold:
+                gains, residual, _ = _gain_and_objective(eff, w, s[:, None])
+                delta = eff.matrix.conj().T @ residual
+                delta *= _guarded_step(gains, eff.spectral_norm_sq)[0]
+                w_next = quantize_phases(w + delta, CONT)
+                changes.append(float(np.sum(np.abs(w_next - w) ** 2)))
+                w = w_next
+            assert sol.converged[0] and sol.iterations[0] == len(changes)
+            passes.append(len(changes))
+        assert max(passes) > 1
