@@ -46,8 +46,6 @@ def draw_users(num_users, cfg, rng):
 
 def draw_fading(num_users, num_elements, rng):
     """I.i.d. circularly-symmetric complex normal matrix, unit variance."""
-    if num_users < 1 or num_elements < 1:
-        raise ValueError("matrix dimensions must be positive")
     shape = (num_users, num_elements)
     re = rng.standard_normal(shape)
     im = rng.standard_normal(shape)
@@ -56,10 +54,6 @@ def draw_fading(num_users, num_elements, rng):
 
 def assemble_channel(users, fading):
     """(K, M) channel: fading rows scaled by sqrt(shadowing / r_norm**exponent)."""
-    fading = np.asarray(fading)
-    num_users = users.path_gain.shape[0]
-    if fading.ndim != 2 or fading.shape[0] != num_users:
-        raise ValueError(f"fading shape {fading.shape} does not match {num_users} users")
     return np.sqrt(users.path_gain)[:, None] * fading
 
 

@@ -1,10 +1,6 @@
 """Error types shared across the simulator."""
 
 
-class UnilluminatedElementError(ValueError):
-    """A surface element falls outside the feed pattern (zero incident power)."""
-
-
 class ConfigError(ValueError):
     """Invalid simulation configuration; `field` names the offending entry."""
 

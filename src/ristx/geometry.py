@@ -19,8 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnilluminatedElementError
-
 
 def wrap_phase(x):
     """Wrap angles to [-pi, pi)."""
@@ -42,10 +40,6 @@ def layout_elements(num_elements, wavelength, feed_distance):
     side = math.isqrt(m)
     if side * side != m:
         raise ValueError(f"num_elements must be a perfect square, got {m}")
-    if not wavelength > 0.0:
-        raise ValueError("wavelength must be positive")
-    if not feed_distance > 0.0:
-        raise ValueError("feed_distance must be positive")
 
     offsets = (np.arange(side) - (side - 1) / 2.0) * wavelength
     vert, horiz = np.meshgrid(offsets, offsets, indexing="ij")
@@ -83,18 +77,13 @@ def propagation_coeffs(num_elements, wavelength, feed_distance, beamwidth, effic
     Amplitude: wavelength * sqrt(efficiency * gain) / (4*pi*r) with the
     in-band gain 1 / sin(beamwidth / 2); phase: -2*pi*r/wavelength wrapped
     to [-pi, pi).  ``beamwidth`` is the full elevation beamwidth in radians,
-    in (0, pi].  Raises UnilluminatedElementError if any element lies
-    outside the beam.
+    in (0, pi].  Raises ValueError if any element lies outside the beam.
     """
-    if not 0.0 < beamwidth <= np.pi:
-        raise ValueError("beamwidth must be in (0, pi]")
-    if not 0.0 < efficiency <= 1.0:
-        raise ValueError("efficiency must be in (0, 1]")
     radius, theta = layout_elements(num_elements, wavelength, feed_distance)
     outside = np.abs(theta - np.pi / 2.0) > beamwidth / 2.0
     if np.any(outside):
         bad = int(np.argmax(outside))
-        raise UnilluminatedElementError(
+        raise ValueError(
             f"element {bad} lies outside the feed pattern "
             f"(theta={theta[bad]:.4f} rad)"
         )

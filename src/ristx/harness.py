@@ -15,6 +15,7 @@ import datetime as _dt
 import itertools
 import json
 import math
+import os
 import signal
 import sys
 import time
@@ -26,7 +27,7 @@ import numpy as np
 from . import __version__
 from .baseline import mf_post_gains, mf_precode_block
 from .channel import assemble_channel, compensating_gains, draw_fading, draw_users
-from .errors import ConfigError, UnilluminatedElementError
+from .errors import ConfigError
 from .geometry import propagation_coeffs
 from .metrics import average_power, db10, distortion, papr, transmit_block
 from .solver import (
@@ -253,7 +254,7 @@ def _surface_faults(cfg):
                 attenuation = propagation_coeffs(
                     m, cfg.wavelength, cfg.feed_distance_for(m),
                     math.radians(cfg.feed_beamwidth_deg), 1.0).attenuation
-        except UnilluminatedElementError as e:
+        except ValueError as e:  # an element outside the feed beam
             return f"leaves the M={m} surface partly unlit: {e}"
         except OverflowError:
             attenuation = np.inf
@@ -558,10 +559,28 @@ def _keep_freed_heap():
         mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
-def _ignore_stop_signals():
-    """Pool worker initializer: the main process acts on a stop signal."""
+def _ignore_stop_signals(sweep_pid):
+    """Pool worker initializer: the main process acts on a stop signal.
+
+    A SIGKILLed sweep runs no cleanup, so on Linux a forked worker asks for
+    SIGKILL once the thread that forked it (the one in ``run_sweep``) ends,
+    and exits at once if the sweep ``sweep_pid`` is already gone.  Does no
+    more where glibc's ``prctl`` is not available.
+    """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    from multiprocessing import get_start_method  # loaded in a pool worker
+    if not sys.platform.startswith("linux") or get_start_method() != "fork":
+        return
+    try:
+        prctl = ctypes.CDLL(None).prctl
+    except (OSError, AttributeError):
+        return
+    prctl.argtypes = (ctypes.c_int, ctypes.c_ulong)
+    prctl.restype = ctypes.c_int
+    prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG (sys/prctl.h)
+    if os.getppid() != sweep_pid:  # the sweep died before the prctl call
+        os._exit(1)
 
 
 def run_sweep(cfg, output_dir, workers=1, resume=False, preset=None):
@@ -625,7 +644,8 @@ def run_sweep(cfg, output_dir, workers=1, resume=False, preset=None):
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # a slow import
 
-        pool = ProcessPoolExecutor(workers, initializer=_ignore_stop_signals)
+        pool = ProcessPoolExecutor(workers, initializer=_ignore_stop_signals,
+                                   initargs=(os.getpid(),))
     try:
         with pool, open(trials_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(",".join(TRIAL_COLUMNS) + "\n")
@@ -663,8 +683,6 @@ def summarize(rows, cfg):
             order.append((scheme, str(k), str(m), b_label(b)))
     summary = []
     for key in order:
-        if key not in groups:
-            continue
         bucket = groups[key]
         columns = {source: np.array([float(r[source]) for r in bucket])
                    for source, _ in _SUMMARY_STATS.values()}

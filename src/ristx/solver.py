@@ -200,10 +200,8 @@ class EffectiveMatrix:
     @classmethod
     def build(cls, post_gains, channel_matrix, surface):
         """Assemble from the physical factors of one realization."""
-        coeffs = surface.complex_coeffs
-        gains = np.asarray(post_gains)
-        scaled = gains[:, None] * np.asarray(channel_matrix)
-        return cls.from_matrix(scaled * coeffs[None, :])
+        scaled = post_gains[:, None] * channel_matrix
+        return cls.from_matrix(scaled * surface.complex_coeffs[None, :])
 
 
 def _seed(eff, symbols, codebook):
@@ -253,7 +251,6 @@ def _guarded_step(gains, spectral_sq):
     Gains <= 0 would flip or blow up the literal rule, so their magnitude
     (floored at GAIN_FLOOR) is used instead and the event is reported.
     """
-    gains = np.asarray(gains, dtype=float)
     bad = gains <= 0.0
     safe = np.where(bad, np.maximum(np.abs(gains), GAIN_FLOOR), gains)
     return STEP_SCALE / (safe * spectral_sq), bad

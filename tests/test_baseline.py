@@ -8,7 +8,7 @@ from ristx.metrics import distortion
 
 def precode_column(h, s, target):
     """The block precoder on a single interval: one symbol column."""
-    x, _ = mf_precode_block(h, np.asarray(s)[:, None], [target])
+    x, _ = mf_precode_block(h, s[:, None], np.array([target]))
     return x[:, 0]
 
 
@@ -49,10 +49,6 @@ class TestPrecode:
             precode_column(h, s, 1.0)
         assert np.array_equal(precode_column(h, s, 0.0), np.zeros(1, dtype=complex))
 
-    def test_negative_target_rejected(self):
-        with pytest.raises(ValueError):
-            precode_column(np.eye(2, dtype=complex), np.ones(2), -1.0)
-
     def test_block_matches_per_interval(self):
         rng = np.random.default_rng(2)
         h = crandn(rng, 3, 7)
@@ -75,10 +71,6 @@ class TestPostGains:
         g1 = mf_post_gains(pair, 16, 1.0)
         g2 = mf_post_gains(pair, 16, 2.0)
         assert np.array_equal(g2, g1 / 2.0)
-
-    def test_nonpositive_mean_scale(self):
-        with pytest.raises(ValueError):
-            mf_post_gains(users(), 4, 0.0)
 
     def test_single_user_expectation_recovers_symbol(self):
         # noise-free K=1: mean of G*y over fading draws and intervals tends

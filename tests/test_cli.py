@@ -420,6 +420,32 @@ def slow_streams(*args):
 ristx.harness.derive_trial_streams = slow_streams
 sys.exit(main(sys.argv[1:]))
 """
+
+
+def slow_sweep(out, config_path, workers):
+    """Start ``SLOW_SWEEP`` on ``config_path`` in a new session."""
+    src = str(Path(ristx.harness.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.Popen(
+        [sys.executable, "-c", SLOW_SWEEP, "sweep", config_path, "-o", str(out),
+         "--workers", str(workers)],
+        env=env, stderr=subprocess.PIPE, text=True, start_new_session=True)
+
+
+def live_session_members(sid):
+    """Pids of the processes of session ``sid`` that are not zombies."""
+    pids = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            state, _, _, session = stat.read_text().rsplit(")", 1)[1].split()[:4]
+        except OSError:  # the process is gone
+            continue
+        if int(session) == sid and state != "Z":
+            pids.append(int(stat.parent.name))
+    return pids
+
+
 SIGNAL_CONFIG = SimConfig(m_list=(16,), b_list=(1, 4), k_list=tuple(range(2, 26, 2)),
                           num_intervals=8, trials=3, master_seed=11)
 
@@ -444,13 +470,7 @@ class TestSignals:
                                             workers, name, send):
         path, full = signal_reference
         out = tmp_path / "out"
-        src = str(Path(ristx.harness.__file__).parents[1])
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.Popen(
-            [sys.executable, "-c", SLOW_SWEEP, "sweep", path, "-o", str(out),
-             "--workers", str(workers)],
-            env=env, stderr=subprocess.PIPE, text=True, start_new_session=True)
+        proc = slow_sweep(out, path, workers)
         try:
             point_bytes = len(b"\n".join(full[TRIALS_CSV].split(b"\n")[:1 + 3 * 2]))
             deadline = time.monotonic() + 30
@@ -479,3 +499,26 @@ class TestSignals:
         assert [signal.getsignal(sig) for sig in (signal.SIGINT, signal.SIGTERM)] == before
         for file_name, data in full.items():
             assert (out / file_name).read_bytes() == data
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="the workers' death signal is Linux's prctl; reads /proc")
+    def test_sigkill_takes_the_pool_workers_down(self, tmp_path, signal_reference):
+        # a SIGKILLed sweep runs no cleanup: its workers must not outlive it
+        out = tmp_path / "out"
+        proc = slow_sweep(out, signal_reference[0], workers=2)
+        try:
+            deadline = time.monotonic() + 30
+            while not ((out / TRIALS_CSV).exists()
+                       and (out / TRIALS_CSV).read_bytes().count(b"\n") >= 2):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.005)
+            proc.kill()
+            proc.wait(timeout=10)
+            deadline = time.monotonic() + 10
+            while live_session_members(proc.pid) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert live_session_members(proc.pid) == []
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.stderr.close()

@@ -240,11 +240,28 @@ class TestRunTrial:
         rows, _ = run_trial(cfg, 1, 1, None, 0)
         assert rows[0]["D_linear"] <= 1e-12
 
-    def test_error_is_the_module_error(self):
+    @pytest.mark.parametrize("args,match", [
+        pytest.param({"num_users": 0}, r"^num_users must be positive$", id="num_users=0"),
+        pytest.param({"num_elements": 0}, "must be a positive integer", id="num_elements=0"),
+        pytest.param({"num_elements": 3}, "must be a perfect square", id="num_elements=3"),
+        pytest.param({"num_elements": 4.5}, "must be a positive integer", id="num_elements=4.5"),
+        pytest.param({"b": 0}, "^bits must be None or a whole number", id="b=0"),
+        pytest.param({"b": 2.5}, "^bits must be None or a whole number", id="b=2.5"),
+        pytest.param({"b": 17}, "^bits must be None or a whole number", id="b=17"),
+        pytest.param({"trial_index": -1}, "non-negative", id="trial_index=-1"),
+        # a 4-element surface with no element draws: the stages trust their
+        # shapes, and the effective matrix's broadcast refuses them
+        pytest.param({"num_elements": 0, "surface": 4}, "broadcast",
+                     id="num_elements=0,surface=4"),
+    ])
+    def test_error_is_the_module_error(self, args, match):
         # the sweep point is named where the sweep collects the failure
         cfg = tiny_config()
-        with pytest.raises(ValueError, match=r"^num_users must be positive$"):
-            run_trial(cfg, 0, 4, 1, 5)
+        if "surface" in args:
+            args = args | {"surface": build_surface(cfg, args["surface"])}
+        with pytest.raises(ValueError, match=match):
+            run_trial(cfg, **({"num_users": 2, "num_elements": 4, "b": 1, "trial_index": 5}
+                              | args))
 
     def test_record_schema(self):
         cfg = tiny_config()

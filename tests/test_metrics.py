@@ -26,10 +26,6 @@ class TestDb10:
         db, floored = db10(0.1)
         assert db == pytest.approx(-10.0) and not floored
 
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            db10(-1e-3)
-
 
 class TestDistortion:
     def test_perfect_reconstruction(self):
@@ -71,23 +67,11 @@ class TestDistortion:
         ]
         assert d == pytest.approx(np.mean(per_interval) / k, rel=1e-12)
 
-    def test_channel_shape_mismatch(self):
-        s = np.ones((2, 3), dtype=complex)
-        x = np.ones((3, 3), dtype=complex)
-        for h in (np.eye(3), np.ones((2, 4))):
-            with pytest.raises(ValueError, match="channel dimensions"):
-                distortion(s, identity_gains(2), h, x)
-
     def test_block_length_mismatch(self):
         s = np.ones((1, 3), dtype=complex)
         x = np.ones((2, 4), dtype=complex)
         with pytest.raises(ValueError):
             distortion(s, identity_gains(1), np.ones((1, 2)), x)
-
-    def test_empty_block_rejected(self):
-        with pytest.raises(ValueError):
-            distortion(np.ones((2, 0), dtype=complex), identity_gains(2),
-                       np.ones((2, 3)), np.ones((3, 0), dtype=complex))
 
     def test_path_loss_invariance_corollary(self):
         # with compensating gains the compensated channel is the fading
@@ -117,10 +101,6 @@ class TestPower:
 
     def test_constant_gain_scales_squared(self):
         assert average_power(np.full(9, 3.0)) == pytest.approx(9.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            average_power(np.array([]))
 
 
 class TestPapr:
