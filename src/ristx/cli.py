@@ -13,6 +13,7 @@ from .errors import ConfigError
 from .harness import (
     TRIAL_COLUMNS,
     SimConfig,
+    _pin_blas_threads,
     format_row,
     preset_config,
     run_sweep,
@@ -116,6 +117,7 @@ def _cmd_trial(args):
         data["schemes"] = ["single_rf"]
     cfg = SimConfig.from_dict(data)
     (b,) = cfg.b_list
+    _pin_blas_threads()  # so the rows are the bytes a sweep writes
     rows, record = run_trial(cfg, args.K, args.M, b, args.trial_index,
                              with_record=args.json)
     if args.json:

@@ -50,6 +50,10 @@ MANIFEST_JSON = "manifest.json"
 # distortion of the matched-filter benchmark turns non-finite.
 MAX_SHADOW_STD_DB = 100
 
+# Largest surface a config may ask for, a 256 x 256 grid: one (M, N) complex
+# block of N=100 intervals is 100 MiB at this size.
+MAX_ELEMENTS = 2**16
+
 TRIAL_COLUMNS = (
     "scheme", "K", "M", "B", "trial_index", "trial_seed",
     "D_dB", "D_linear", "D_floored", "P_out", "PAPR_dB",
@@ -202,8 +206,8 @@ def _fit(name, kind, ok, description, value):
 # A null value is allowed exactly where the default is None.
 _FIELDS = {
     "wavelength": (_real, lambda v: v > 0, "a positive real"),
-    "m_list": ([_whole], lambda m: m >= 1 and math.isqrt(m) ** 2 == m,
-               "a positive perfect square"),
+    "m_list": ([_whole], lambda m: 1 <= m <= MAX_ELEMENTS and math.isqrt(m) ** 2 == m,
+               f"a positive perfect square up to {MAX_ELEMENTS}"),
     "feed_distance": (_real, lambda v: v > 0, "a positive real or null"),
     "zeta_db": (_real, lambda z: z <= 0 and 10.0 ** (z / 10.0) > 0,
                 "a real <= 0 dB (an efficiency in (0, 1])"),
@@ -559,8 +563,37 @@ def _keep_freed_heap():
         mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
+# thread-count setters of numpy's bundled OpenBLAS and of a system OpenBLAS
+_BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads")
+
+
+def _pin_blas_threads():
+    """Run every OpenBLAS loaded in this process on one thread.
+
+    A sweep's throughput comes from its worker processes; BLAS threads on
+    top of them oversubscribe the cores, and a product's last bits depend
+    on how many threads split it.  Process-wide and not undone; does
+    nothing where ``/proc/self/maps`` shows no OpenBLAS with such a setter.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="surrogateescape") as fh:
+            paths = {line.split(maxsplit=5)[5].strip() for line in fh
+                     if "openblas" in line.rpartition("/")[2].lower()}
+    except OSError:
+        return
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)  # loaded already: this only finds it
+        except OSError:
+            continue
+        for name in _BLAS_THREAD_SETTERS:
+            if hasattr(lib, name):
+                getattr(lib, name)(1)
+
+
 def _ignore_stop_signals(sweep_pid):
-    """Pool worker initializer: the main process acts on a stop signal.
+    """Pool worker initializer: the main process acts on a stop signal, and
+    BLAS runs on one thread (see ``_pin_blas_threads``).
 
     A SIGKILLed sweep runs no cleanup, so on Linux a forked worker asks for
     SIGKILL once the thread that forked it (the one in ``run_sweep``) ends,
@@ -569,6 +602,7 @@ def _ignore_stop_signals(sweep_pid):
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    _pin_blas_threads()  # inherited under fork; a spawned worker needs the call
     from multiprocessing import get_start_method  # loaded in a pool worker
     if not sys.platform.startswith("linux") or get_start_method() != "fork":
         return
@@ -604,12 +638,17 @@ def run_sweep(cfg, output_dir, workers=1, resume=False, preset=None):
     ``workers`` is capped at the number of points left to run, and a cap
     of 1 runs them in this process; the manifest records the count used.
 
-    Side effect: on glibc the calling process (and the pool workers it
+    Side effects: on glibc the calling process (and the pool workers it
     forks) keeps freed memory in its heap from then on instead of returning
     it to the kernel (see ``_keep_freed_heap``).  This saves the page faults
-    of re-allocating every trial's arrays; the setting is not undone.
+    of re-allocating every trial's arrays.  A loaded OpenBLAS runs on one
+    thread in the calling process and in every pool worker (see
+    ``_pin_blas_threads``), so the bytes do not depend on the BLAS thread
+    count and workers do not oversubscribe the cores.  Neither setting is
+    undone.
     """
     _keep_freed_heap()
+    _pin_blas_threads()
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     trials_path = out / TRIALS_CSV

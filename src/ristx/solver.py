@@ -299,7 +299,8 @@ def solve_block(eff, symbols, codebook, max_iterations=None):
     results equal those of solving each column on its own to about 1e-14,
     not bit for bit: a BLAS matrix product rounds a column differently
     depending on how many columns the product has.  For a fixed block width
-    (``num_intervals``) and BLAS thread count the bytes are deterministic.
+    (``num_intervals``) the bytes are deterministic on the one BLAS thread
+    that a sweep and ``ristx trial`` run on.
     A ``(K,)`` symbol vector is solved as one column, and every field of the
     result is a per-column array, of length 1 then.
     ``max_iterations`` caps the passes of every column; ``None`` means

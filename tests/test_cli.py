@@ -45,6 +45,11 @@ class TestValidateConfig:
         assert main(["validate-config", path]) == 0
         assert "1 sweep points" in capsys.readouterr().out
 
+    def test_largest_surface_ok(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"m_list": [65536], "k_list": [2], "b_list": [4]})
+        assert main(["validate-config", path]) == 0
+        assert "1 sweep points" in capsys.readouterr().out
+
     def test_bad_field_named(self, tmp_path, capsys):
         cfg = tiny_config_dict()
         cfg["k_list"] = []
@@ -76,6 +81,8 @@ class TestValidateConfig:
             ({"trials": 2.5}, "trials", "2.5 is not a positive whole number"),
             ({"master_seed": True}, "master_seed", "is not a nonnegative whole number"),
             ({"m_list": [True]}, "m_list", "True is not a positive perfect square"),
+            ({"m_list": [1e20]}, "m_list", "1e+20 is not a positive perfect square up to"),
+            ({"m_list": [66049]}, "m_list", "66049 is not a positive perfect square up to"),
             ({"track_best": "no"}, "track_best", "unknown config field"),
             ({"r_max": float("inf")}, "r_max", "inf is not a positive real"),
             ({"shadow_std_db": float("nan")}, "shadow_std_db", "nan is not a nonnegative real"),
@@ -113,6 +120,7 @@ class TestValidateConfig:
         ],
         ids=["m_list-scalar", "b_list-scalar", "schemes-string", "b_list-fraction",
              "b_list-bool", "trials-fraction", "master_seed-bool", "m_list-bool",
+             "m_list-1e20", "m_list-257-squared",
              "track_best-string", "r_max-inf", "shadow_std_db-nan", "noise_var-nan",
              "feed_distance-inf", "change_threshold-inf", "trials-string",
              "num_intervals-string", "feed_power-string", "zeta_db-string",
@@ -374,6 +382,39 @@ class TestSweep:
         path = write_config(tmp_path, cfg)
         assert main(["sweep", path, "-o", str(tmp_path / "out")]) == 2
         assert "trials" in capsys.readouterr().err
+
+
+# A sweep config and a trial at M=225, where OpenBLAS splits the solver's
+# products over its threads when it has more than one.
+BLAS_THREADS_CONFIG = {"m_list": [225], "k_list": [16, 32], "b_list": [4], "trials": 3,
+                       "master_seed": 777}
+BLAS_THREADS_TRIAL = ["trial", "-K", "32", "-M", "225", "-B", "4", "--with-baseline"]
+
+
+def test_bytes_do_not_depend_on_blas_threads(tmp_path):
+    path = write_config(tmp_path, BLAS_THREADS_CONFIG)
+    src = str(Path(ristx.harness.__file__).parents[1])
+    unset = {k: v for k, v in os.environ.items()
+             if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    unset["PYTHONPATH"] = os.pathsep.join(filter(None, [src, unset.get("PYTHONPATH")]))
+    outputs = {}
+    for threads in ("unset", "1", "2"):
+        env = unset | ({} if threads == "unset" else
+                       {"OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads})
+
+        def ristx_cli(*args, env=env):
+            return subprocess.run([sys.executable, "-m", "ristx.cli", *args], env=env,
+                                  capture_output=True, check=True, timeout=300).stdout
+
+        for workers in ("1", "2"):
+            out = tmp_path / f"threads-{threads}-workers-{workers}"
+            ristx_cli("sweep", path, "-o", str(out), "--workers", workers)
+            outputs[threads, "sweep", workers] = [
+                (out / name).read_bytes() for name in (TRIALS_CSV, SUMMARY_CSV)]
+        outputs[threads, "trial"] = [ristx_cli(*BLAS_THREADS_TRIAL),
+                                     ristx_cli(*BLAS_THREADS_TRIAL, "--json")]
+    for (threads, *run), data in outputs.items():
+        assert data == outputs["1", *run], (threads, *run)
 
 
 class TestUsage:

@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import io
 import json
 import os
 import platform
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import ristx
+import ristx.harness
 from ristx.errors import ConfigError
 from ristx.harness import (
     SUMMARY_CSV,
@@ -609,3 +611,98 @@ def test_heap_setting_removes_per_trial_page_faults():
 
     without, with_setting = faults_per_trial("0"), faults_per_trial("1")
     assert with_setting <= 0.1 * without, (with_setting, without)
+
+
+# A two-worker sweep under the start method argv[2] that prints the loaded
+# OpenBLAS's thread count before the sweep, in each pool worker as it takes a
+# point, and after the sweep; "none" where no getter is exported.
+BLAS_THREADS_SCRIPT = """
+import ctypes, multiprocessing, os, sys
+import ristx.harness
+from ristx.harness import SimConfig, run_sweep
+
+GETTERS = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads")
+
+
+def blas_threads():
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        paths = {line.split(maxsplit=5)[5].strip() for line in fh
+                 if "openblas" in line.rpartition("/")[2].lower()}
+    libs = [ctypes.CDLL(path) for path in sorted(paths)]
+    counts = [getattr(lib, name)() for lib in libs for name in GETTERS
+              if hasattr(lib, name)]
+    return ",".join(map(str, counts)) or "none"
+
+
+point_rows = ristx.harness._point_rows
+
+
+def reporting_point_rows(*args):
+    os.write(1, f"worker {blas_threads()}\\n".encode())  # one write per line
+    return point_rows(*args)
+
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method(sys.argv[2])
+    ristx.harness._point_rows = reporting_point_rows
+    print("before", blas_threads(), flush=True)
+    cfg = SimConfig(m_list=(4,), b_list=(2,), k_list=(1, 2), num_intervals=4, trials=1)
+    run_sweep(cfg, sys.argv[1], workers=2)
+    print("sweep", blas_threads(), flush=True)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="the script finds the BLAS through /proc/self/maps")
+@pytest.mark.parametrize("start_method", ["fork", "spawn"])
+def test_sweep_runs_blas_on_one_thread(tmp_path, start_method):
+    # run in a fresh interpreter: the setting is process-wide and not undone
+    script = tmp_path / "blas_threads.py"
+    script.write_text(BLAS_THREADS_SCRIPT)
+    src = str(Path(ristx.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OMP_NUM_THREADS"}
+    env.update(OPENBLAS_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join(filter(None, (src, env.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, str(script), str(tmp_path / "out"), start_method],
+                         env=env, capture_output=True, text=True, check=True, timeout=120)
+    reports = [line.split() for line in out.stdout.splitlines()]
+    before = reports[0][1]
+    if before == "none":
+        pytest.skip("the loaded BLAS exports no thread-count getter")
+    if set(before.split(",")) == {"1"}:
+        pytest.skip("BLAS already runs on one thread here (one core)")
+    workers = [count for where, count in reports if where == "worker"]
+    assert workers and set(workers) == {"1"}, reports
+    assert reports[-1] == ["sweep", "1"], reports
+
+
+LIBC_MAPS = ("7f00-7f01 r-xp 00000000 08:01 12 /usr/lib/libc.so.6\n"
+             "7f01-7f02 rw-p 00000000 00:00 0 \n"
+             "7f02-7f03 rw-p 00000000 00:00 0 [heap]\n")
+OPENBLAS_LINE = "7f03-7f04 r-xp 00000000 08:01 13 /usr/lib/libopenblas.so.0{}\n"
+
+
+@pytest.mark.parametrize("maps,opened", [
+    (LIBC_MAPS, []),
+    (LIBC_MAPS + OPENBLAS_LINE.format(""), ["/usr/lib/libopenblas.so.0"]),
+    (OPENBLAS_LINE.format(" (deleted)"), ["/usr/lib/libopenblas.so.0 (deleted)"]),
+    (None, []),
+], ids=["no-openblas", "no-setter", "not-loadable", "unreadable"])
+def test_blas_pin_without_a_setter_does_nothing(monkeypatch, maps, opened):
+    loaded = []
+
+    def fake_open(path, *args, **kwargs):
+        if maps is None:
+            raise FileNotFoundError(path)
+        return io.StringIO(maps)
+
+    def fake_cdll(path):
+        loaded.append(path)
+        if path.endswith("(deleted)"):
+            raise OSError(f"{path}: cannot open shared object file")
+        return object()  # a library that exports no setter
+
+    monkeypatch.setattr(ristx.harness, "open", fake_open, raising=False)
+    monkeypatch.setattr(ristx.harness.ctypes, "CDLL", fake_cdll)
+    assert ristx.harness._pin_blas_threads() is None
+    assert loaded == opened
