@@ -11,9 +11,9 @@ from dataclasses import replace
 
 from .errors import ConfigError
 from .harness import (
+    SCHEME_SINGLE_RF,
     TRIAL_COLUMNS,
     SimConfig,
-    _pin_blas_threads,
     format_row,
     preset_config,
     run_sweep,
@@ -114,10 +114,9 @@ def _cmd_trial(args):
     if args.intervals is not None:
         data["num_intervals"] = args.intervals
     if not args.with_baseline:
-        data["schemes"] = ["single_rf"]
+        data["schemes"] = [SCHEME_SINGLE_RF]
     cfg = SimConfig.from_dict(data)
     (b,) = cfg.b_list
-    _pin_blas_threads()  # so the rows are the bytes a sweep writes
     rows, record = run_trial(cfg, args.K, args.M, b, args.trial_index,
                              with_record=args.json)
     if args.json:

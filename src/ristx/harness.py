@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import datetime as _dt
+import functools
 import itertools
 import json
 import math
@@ -362,8 +363,10 @@ def run_trial(cfg, num_users, num_elements, b, trial_index, surface=None,
     scheme, and a JSON-serializable trial record, whose ``results`` are those
     rows, when ``with_record`` is set (else None).
     An error propagates as the failing module raised it; a sweep labels it
-    with the sweep point (see ``run_sweep``).
+    with the sweep point (see ``run_sweep``).  Side effect: the first trial
+    in a process keeps freed heap and one BLAS thread (``_trial_process``).
     """
+    _trial_process()
     if surface is None:
         surface = build_surface(cfg, num_elements)
     trial_seed, users_rng, fading_rng, symbols_rng = derive_trial_streams(
@@ -591,18 +594,22 @@ def _pin_blas_threads():
                 getattr(lib, name)(1)
 
 
+@functools.cache
+def _trial_process():
+    """Keep freed heap and pin BLAS to one thread, once per process."""
+    _keep_freed_heap()
+    _pin_blas_threads()
+
+
 def _ignore_stop_signals(sweep_pid):
     """Pool worker initializer: the main process acts on a stop signal, and
-    BLAS runs on one thread (see ``_pin_blas_threads``).
-
-    A SIGKILLed sweep runs no cleanup, so on Linux a forked worker asks for
+    as a SIGKILLed sweep runs no cleanup, on Linux a forked worker asks for
     SIGKILL once the thread that forked it (the one in ``run_sweep``) ends,
     and exits at once if the sweep ``sweep_pid`` is already gone.  Does no
     more where glibc's ``prctl`` is not available.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
-    _pin_blas_threads()  # inherited under fork; a spawned worker needs the call
     from multiprocessing import get_start_method  # loaded in a pool worker
     if not sys.platform.startswith("linux") or get_start_method() != "fork":
         return
@@ -638,17 +645,11 @@ def run_sweep(cfg, output_dir, workers=1, resume=False, preset=None):
     ``workers`` is capped at the number of points left to run, and a cap
     of 1 runs them in this process; the manifest records the count used.
 
-    Side effects: on glibc the calling process (and the pool workers it
-    forks) keeps freed memory in its heap from then on instead of returning
-    it to the kernel (see ``_keep_freed_heap``).  This saves the page faults
-    of re-allocating every trial's arrays.  A loaded OpenBLAS runs on one
-    thread in the calling process and in every pool worker (see
-    ``_pin_blas_threads``), so the bytes do not depend on the BLAS thread
-    count and workers do not oversubscribe the cores.  Neither setting is
-    undone.
+    Side effects: the calling process is set up for trials before the pool,
+    and forked workers inherit that (see ``_trial_process``): freed memory
+    stays in the heap, and OpenBLAS runs on one thread.  Neither is undone.
     """
-    _keep_freed_heap()
-    _pin_blas_threads()
+    _trial_process()
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     trials_path = out / TRIALS_CSV

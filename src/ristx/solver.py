@@ -300,7 +300,7 @@ def solve_block(eff, symbols, codebook, max_iterations=None):
     not bit for bit: a BLAS matrix product rounds a column differently
     depending on how many columns the product has.  For a fixed block width
     (``num_intervals``) the bytes are deterministic on the one BLAS thread
-    that a sweep and ``ristx trial`` run on.
+    that every trial runs on.
     A ``(K,)`` symbol vector is solved as one column, and every field of the
     result is a per-column array, of length 1 then.
     ``max_iterations`` caps the passes of every column; ``None`` means

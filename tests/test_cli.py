@@ -389,6 +389,19 @@ class TestSweep:
 BLAS_THREADS_CONFIG = {"m_list": [225], "k_list": [16, 32], "b_list": [4], "trials": 3,
                        "master_seed": 777}
 BLAS_THREADS_TRIAL = ["trial", "-K", "32", "-M", "225", "-B", "4", "--with-baseline"]
+# The README quick start's run_trial over every trial of the config at argv[1],
+# in plan order, printed as trials.csv rows.
+QUICK_START_ROWS = """
+import json, sys
+from ristx import SimConfig, run_trial
+from ristx.harness import TRIAL_COLUMNS, format_row, sweep_points
+with open(sys.argv[1], encoding="utf-8") as fh:
+    cfg = SimConfig.from_dict(json.load(fh))
+for m, b, k in sweep_points(cfg):
+    for idx in range(cfg.trials):
+        rows, _ = run_trial(cfg, num_users=k, num_elements=m, b=b, trial_index=idx)
+        sys.stdout.writelines(format_row(row, TRIAL_COLUMNS) for row in rows)
+"""
 
 
 def test_bytes_do_not_depend_on_blas_threads(tmp_path):
@@ -402,9 +415,12 @@ def test_bytes_do_not_depend_on_blas_threads(tmp_path):
         env = unset | ({} if threads == "unset" else
                        {"OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads})
 
-        def ristx_cli(*args, env=env):
-            return subprocess.run([sys.executable, "-m", "ristx.cli", *args], env=env,
+        def python(*args, env=env):
+            return subprocess.run([sys.executable, *args], env=env,
                                   capture_output=True, check=True, timeout=300).stdout
+
+        def ristx_cli(*args, python=python):
+            return python("-m", "ristx.cli", *args)
 
         for workers in ("1", "2"):
             out = tmp_path / f"threads-{threads}-workers-{workers}"
@@ -413,6 +429,9 @@ def test_bytes_do_not_depend_on_blas_threads(tmp_path):
                 (out / name).read_bytes() for name in (TRIALS_CSV, SUMMARY_CSV)]
         outputs[threads, "trial"] = [ristx_cli(*BLAS_THREADS_TRIAL),
                                      ristx_cli(*BLAS_THREADS_TRIAL, "--json")]
+        # the quick start's rows are the body of the sweep's trials.csv
+        quick_start = python("-c", QUICK_START_ROWS, path)
+        assert quick_start == outputs[threads, "sweep", "1"][0].split(b"\n", 1)[1], threads
     for (threads, *run), data in outputs.items():
         assert data == outputs["1", *run], (threads, *run)
 

@@ -574,22 +574,37 @@ class TestSweep:
         assert rows_both == rows_solo
 
 
-# Minor page faults per warmed-up M=225 trial, with ("1") or without the
-# sweep's heap setting; run in a fresh interpreter because the setting is
-# process-wide and cannot be undone.
+# Minor page faults per warmed-up M=225 trial: in this process with the heap
+# setting stubbed out ("stub"), as the trials leave it ("with"), or in a
+# spawned pool worker ("spawned-worker"); run in a fresh interpreter because
+# the setting is process-wide and cannot be undone.
 FAULTS_SCRIPT = """
 import resource, sys
-from ristx.harness import _keep_freed_heap, build_surface, preset_config, trial_rows
-if sys.argv[1] == "1":
-    _keep_freed_heap()
-cfg = preset_config("fig2", trials=1)
-surface = build_surface(cfg, 225)
-for idx in range(5):
-    trial_rows(cfg, 16, 225, 4, idx, surface)
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-for idx in range(5, 15):
-    trial_rows(cfg, 16, 225, 4, idx, surface)
-print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
+import ristx.harness
+from ristx.harness import build_surface, preset_config, trial_rows
+
+
+def faults_per_trial():
+    cfg = preset_config("fig2", trials=1)
+    surface = build_surface(cfg, 225)
+    for idx in range(5):
+        trial_rows(cfg, 16, 225, 4, idx, surface)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for idx in range(5, 15):
+        trial_rows(cfg, 16, 225, 4, idx, surface)
+    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10
+
+
+if __name__ == "__main__":
+    if sys.argv[1] == "stub":
+        ristx.harness._keep_freed_heap = lambda: None
+    if sys.argv[1] == "spawned-worker":
+        with ProcessPoolExecutor(1, mp_context=get_context("spawn")) as pool:
+            print(pool.submit(faults_per_trial).result())
+    else:
+        print(faults_per_trial())
 """
 
 
@@ -597,25 +612,29 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
     not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
     reason="the heap setting acts through glibc's mallopt",
 )
-def test_heap_setting_removes_per_trial_page_faults():
+def test_heap_setting_removes_per_trial_page_faults(tmp_path):
+    script = tmp_path / "faults.py"  # a file: a spawned worker imports it
+    script.write_text(FAULTS_SCRIPT)
     src = str(Path(ristx.__file__).resolve().parents[1])
     env = {k: v for k, v in os.environ.items()
            if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
     env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, (src, env.get("PYTHONPATH")))))
 
-    def faults_per_trial(keep_heap):
-        out = subprocess.run([sys.executable, "-c", FAULTS_SCRIPT, keep_heap], env=env,
+    def faults_per_trial(arm):
+        out = subprocess.run([sys.executable, str(script), arm], env=env,
                              capture_output=True, text=True, check=True, timeout=120)
         return float(out.stdout)
 
-    without, with_setting = faults_per_trial("0"), faults_per_trial("1")
-    assert with_setting <= 0.1 * without, (with_setting, without)
+    # the trials themselves keep the heap, in this process and in a spawned one
+    without = faults_per_trial("stub")
+    for arm in ("with", "spawned-worker"):
+        assert faults_per_trial(arm) <= 0.1 * without, (arm, without)
 
 
 # A two-worker sweep under the start method argv[2] that prints the loaded
-# OpenBLAS's thread count before the sweep, in each pool worker as it takes a
-# point, and after the sweep; "none" where no getter is exported.
+# OpenBLAS's thread count before the sweep, inside every solve, and after the
+# sweep; "none" where no getter is exported.
 BLAS_THREADS_SCRIPT = """
 import ctypes, multiprocessing, os, sys
 import ristx.harness
@@ -634,17 +653,19 @@ def blas_threads():
     return ",".join(map(str, counts)) or "none"
 
 
-point_rows = ristx.harness._point_rows
+solve_block = ristx.harness.solve_block
 
 
-def reporting_point_rows(*args):
-    os.write(1, f"worker {blas_threads()}\\n".encode())  # one write per line
-    return point_rows(*args)
+def reporting_solve_block(*args, **kwargs):
+    os.write(1, f"solve {blas_threads()}\\n".encode())  # one write per line
+    return solve_block(*args, **kwargs)
 
+
+# at top level, so that a spawned worker, which imports this file, patches too
+ristx.harness.solve_block = reporting_solve_block
 
 if __name__ == "__main__":
     multiprocessing.set_start_method(sys.argv[2])
-    ristx.harness._point_rows = reporting_point_rows
     print("before", blas_threads(), flush=True)
     cfg = SimConfig(m_list=(4,), b_list=(2,), k_list=(1, 2), num_intervals=4, trials=1)
     run_sweep(cfg, sys.argv[1], workers=2)
@@ -671,8 +692,8 @@ def test_sweep_runs_blas_on_one_thread(tmp_path, start_method):
         pytest.skip("the loaded BLAS exports no thread-count getter")
     if set(before.split(",")) == {"1"}:
         pytest.skip("BLAS already runs on one thread here (one core)")
-    workers = [count for where, count in reports if where == "worker"]
-    assert workers and set(workers) == {"1"}, reports
+    solves = [count for where, count in reports if where == "solve"]
+    assert len(solves) == 2 and set(solves) == {"1"}, reports  # one per trial
     assert reports[-1] == ["sweep", "1"], reports
 
 

@@ -3,7 +3,8 @@
 The README's library quick start must run as written, and ``ristx.harness``
 must keep calling through the names that ``perfbench/tracing.py`` patches,
 so that a traced replay still sees every stage of a trial.  Every ristx
-module must use each name it imports and each private name it defines.
+module must use each name it imports and each private name it defines, and
+import no other module's private name.
 """
 
 import ast
@@ -89,6 +90,17 @@ def test_every_private_module_name_is_used_in_its_module():
                            for node in ast.walk(other)):
                     unused.append(f"{path.name}:{statement.lineno} {name}")
     assert unused == []
+
+
+def test_no_module_imports_another_modules_private_name():
+    # a _name is its module's own: another module that needs it wants a public name
+    private = []
+    for path in sorted((ROOT / "src" / "ristx").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                private += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                            if alias.name.startswith("_") and not alias.name.startswith("__")]
+    assert private == []
 
 
 def test_harness_has_every_name_the_tracer_patches():
