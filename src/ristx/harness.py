@@ -603,25 +603,24 @@ def _trial_process():
 
 def _ignore_stop_signals(sweep_pid):
     """Pool worker initializer: the main process acts on a stop signal, and
-    as a SIGKILLed sweep runs no cleanup, on Linux a forked worker asks for
-    SIGKILL once the thread that forked it (the one in ``run_sweep``) ends,
-    and exits at once if the sweep ``sweep_pid`` is already gone.  Does no
-    more where glibc's ``prctl`` is not available.
+    as a SIGKILLed sweep runs no cleanup, a worker watches the sweep
+    ``sweep_pid`` through a pidfd and exits once it is gone (at once if it
+    is already gone), whatever the start method.  Does no more where
+    ``os.pidfd_open`` is not available (not Linux, or Linux before 5.3).
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
-    from multiprocessing import get_start_method  # loaded in a pool worker
-    if not sys.platform.startswith("linux") or get_start_method() != "fork":
-        return
+    import select  # loaded in a pool worker
+    import threading
+
     try:
-        prctl = ctypes.CDLL(None).prctl
-    except (OSError, AttributeError):
-        return
-    prctl.argtypes = (ctypes.c_int, ctypes.c_ulong)
-    prctl.restype = ctypes.c_int
-    prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG (sys/prctl.h)
-    if os.getppid() != sweep_pid:  # the sweep died before the prctl call
+        fd = os.pidfd_open(sweep_pid)
+    except ProcessLookupError:
         os._exit(1)
+    except (AttributeError, OSError):
+        return
+    threading.Thread(target=lambda: (select.select([fd], [], []), os._exit(1)),
+                     daemon=True).start()
 
 
 def run_sweep(cfg, output_dir, workers=1, resume=False, preset=None):

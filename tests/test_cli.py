@@ -466,29 +466,41 @@ class TestUsage:
 
 # A sweep in a child process whose trials each sleep 25 ms, so that a signal
 # sent once the first point is flushed lands with most of the sweep to run.
+# argv[1] names the pool's start method ("" for the default) and the rest is
+# the CLI's.
 SLOW_SWEEP = """
-import sys, time
+import multiprocessing, sys, time
 import ristx.harness
 from ristx.cli import main
 
 streams = ristx.harness.derive_trial_streams
 
+
 def slow_streams(*args):
     time.sleep(0.025)
     return streams(*args)
 
+
+# at top level, so that a spawned worker, which imports this file, patches too
 ristx.harness.derive_trial_streams = slow_streams
-sys.exit(main(sys.argv[1:]))
+
+if __name__ == "__main__":
+    if sys.argv[1]:
+        multiprocessing.set_start_method(sys.argv[1])
+    sys.exit(main(sys.argv[2:]))
 """
 
 
-def slow_sweep(out, config_path, workers):
-    """Start ``SLOW_SWEEP`` on ``config_path`` in a new session."""
+def slow_sweep(out, config_path, workers, start_method=""):
+    """Start ``SLOW_SWEEP`` on ``config_path`` in a new session, from a
+    script file beside ``out``."""
+    script = out.parent / "slow_sweep.py"
+    script.write_text(SLOW_SWEEP)
     src = str(Path(ristx.harness.__file__).parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.Popen(
-        [sys.executable, "-c", SLOW_SWEEP, "sweep", config_path, "-o", str(out),
+        [sys.executable, str(script), start_method, "sweep", config_path, "-o", str(out),
          "--workers", str(workers)],
         env=env, stderr=subprocess.PIPE, text=True, start_new_session=True)
 
@@ -561,11 +573,13 @@ class TestSignals:
             assert (out / file_name).read_bytes() == data
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
-                        reason="the workers' death signal is Linux's prctl; reads /proc")
-    def test_sigkill_takes_the_pool_workers_down(self, tmp_path, signal_reference):
+                        reason="the workers watch the sweep through a Linux pidfd; reads /proc")
+    @pytest.mark.parametrize("start_method", ["fork", "spawn", "forkserver"])
+    def test_sigkill_takes_the_pool_workers_down(self, tmp_path, signal_reference,
+                                                 start_method):
         # a SIGKILLed sweep runs no cleanup: its workers must not outlive it
         out = tmp_path / "out"
-        proc = slow_sweep(out, signal_reference[0], workers=2)
+        proc = slow_sweep(out, signal_reference[0], workers=2, start_method=start_method)
         try:
             deadline = time.monotonic() + 30
             while not ((out / TRIALS_CSV).exists()

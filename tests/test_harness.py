@@ -6,6 +6,7 @@ import os
 import platform
 import subprocess
 import sys
+import time
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -473,7 +474,9 @@ class TestSweep:
         assert not (tmp_path / "out" / SUMMARY_CSV).exists()
 
     # Each kind of early stop: a trial that raises, in this process or in a
-    # pool worker, and a pool worker that dies (the fork inherits the patch).
+    # pool worker, and a pool worker that dies (the fork inherits the patch)
+    # once the first point is written, as the pool then ends the point
+    # running beside it, which could be the first.
     @pytest.mark.parametrize("workers,stop", [(1, "raise"), (2, "raise"), (2, "die")],
                              ids=["raise-1-worker", "raise-2-workers", "die-2-workers"])
     def test_early_stop_leaves_whole_points_and_resumes(self, tmp_path, monkeypatch,
@@ -484,6 +487,10 @@ class TestSweep:
         def streams(master_seed, num_users, num_elements, b, trial_index):
             if (num_users, b, trial_index) == (2, None, 1):  # the third point
                 if stop == "die":
+                    deadline = time.monotonic() + 30
+                    while ((out / TRIALS_CSV).read_text().count("\n") < 1 + 3 * 2
+                           and time.monotonic() < deadline):
+                        time.sleep(0.005)
                     os._exit(1)
                 raise MemoryError("injected")
             return derive_trial_streams(master_seed, num_users, num_elements, b,
@@ -727,3 +734,46 @@ def test_blas_pin_without_a_setter_does_nothing(monkeypatch, maps, opened):
     monkeypatch.setattr(ristx.harness.ctypes, "CDLL", fake_cdll)
     assert ristx.harness._pin_blas_threads() is None
     assert loaded == opened
+
+
+# The pool initializer called as a pool worker would, in a fresh interpreter
+# (it may end the process); prints whether SIGINT and SIGTERM are ignored if
+# it returns.  argv[1] is "reaped" to watch a reaped child under the spawn
+# start method, or "no-pidfd" to watch this process without os.pidfd_open.
+INITIALIZER_SCRIPT = """
+import multiprocessing, os, signal, sys
+from ristx.harness import _ignore_stop_signals
+
+if sys.argv[1] == "reaped":
+    multiprocessing.set_start_method("spawn")
+    sweep_pid = os.fork()
+    if sweep_pid == 0:
+        os._exit(0)
+    os.waitpid(sweep_pid, 0)
+else:
+    vars(os).pop("pidfd_open", None)
+    sweep_pid = os.getpid()
+_ignore_stop_signals(sweep_pid)
+print([signal.getsignal(sig) is signal.SIG_IGN for sig in (signal.SIGINT, signal.SIGTERM)])
+"""
+
+
+def run_initializer(case):
+    src = str(Path(ristx.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-c", INITIALIZER_SCRIPT, case], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.skipif(not hasattr(os, "pidfd_open"), reason="no pidfd on this platform")
+def test_pool_worker_of_a_gone_sweep_exits():
+    # whatever the start method: a spawned worker's parent is not the sweep
+    out = run_initializer("reaped")
+    assert (out.returncode, out.stdout, out.stderr) == (1, "", "")
+
+
+def test_pool_worker_without_pidfd_only_ignores_stop_signals():
+    out = run_initializer("no-pidfd")
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout == "[True, True]\n"
