@@ -46,9 +46,7 @@ def draw_users(num_users, cfg, rng):
 
 def draw_fading(num_users, num_elements, rng):
     """I.i.d. circularly-symmetric complex normal matrix, unit variance."""
-    shape = (num_users, num_elements)
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
+    re, im = rng.standard_normal((2, num_users, num_elements))
     return (re + 1j * im) / np.sqrt(2.0)
 
 

@@ -10,12 +10,13 @@ nearest wrapped phase.  Its tuning is three fixed constants; a caller may
 only cap the passes, through ``solve_block``'s ``max_iterations``.
 
 The iterate is the unit-modulus ``w`` itself, and ``quantize_phases`` is
-its only projection.  For a quantized codebook it finds the nearest phase in
-one rounding pass over ``(angle + pi) / spacing``; only entries within 1e-9
-of a midpoint are decided again by the exact two-candidate distance
-comparison, which fixes the tie and seam rule.  The projected entries are
-read from the codebook's precomputed ``exp(1j*phases)`` table, so every
-iterate is a codebook point bit for bit.
+its only projection; the seed is ``quantize_phases(pinv @ s)``.  A zero
+entry takes phase 0, exactly ``1+0j``.  For a quantized codebook the
+projection finds the nearest phase in one rounding pass over ``(angle + pi)
+/ spacing``; only entries within 1e-9 of a midpoint are decided again by the
+exact two-candidate distance comparison, which fixes the tie and seam rule.
+The projected entries are read from the codebook's precomputed
+``exp(1j*phases)`` table, so every iterate is a codebook point bit for bit.
 
 The pseudo-inverse and spectral norm come from a thin QR of ``Heff^H``
 (``EffectiveMatrix.from_matrix``), with an SVD fallback when ``Heff`` has
@@ -93,18 +94,15 @@ def quantize_phases(values, codebook):
     codebook phase of smallest wrapped angular distance to the entry's
     phase, found by one rounding pass (see ``_nearest_index``); exact
     midpoints resolve to the smaller phase value.  The continuous codebook
-    divides by the modulus.  Zero entries take the first (lowest) codebook
-    phase, -pi.
+    divides by the modulus.  A zero entry, whatever the signs of its parts,
+    takes phase 0: it comes out as exactly ``1+0j`` under every codebook.
     """
     values = np.asarray(values, dtype=complex)
+    if not values.all():
+        values = np.where(values == 0, 1.0, values)
     if codebook.bits is None:
-        if not values.all():
-            values = np.where(values == 0, np.exp(-1j * np.pi), values)
         return values / np.abs(values)
-    entries = np.atleast_1d(values)
-    idx = _nearest_index(np.angle(entries), codebook)
-    if not entries.all():
-        idx[entries == 0] = 0
+    idx = _nearest_index(np.angle(np.atleast_1d(values)), codebook)
     return codebook.unit[idx].reshape(values.shape)
 
 
@@ -202,19 +200,6 @@ class EffectiveMatrix:
         """Assemble from the physical factors of one realization."""
         scaled = post_gains[:, None] * channel_matrix
         return cls.from_matrix(scaled * surface.complex_coeffs[None, :])
-
-
-def _seed(eff, symbols, codebook):
-    """The seed iterate ``w``: the entrywise phases of the pseudo-inverse
-    image ``pinv @ s``, projected onto the codebook.
-
-    Exact zeros of ``pinv @ s`` take phase 0 (``quantize_phases`` alone
-    would send them to the first phase, -pi).
-    """
-    raw = eff.pseudo_inverse @ symbols
-    if not raw.all():
-        raw[raw == 0] = 1.0
-    return quantize_phases(raw, codebook)
 
 
 def _no_move_bound(bits):
@@ -331,7 +316,7 @@ def solve_block(eff, symbols, codebook, max_iterations=None):
     rho2 = eff.spectral_norm_sq
     matrix_h = eff.matrix.conj().T
 
-    w = w_act = _seed(eff, s_block, codebook)
+    w = w_act = quantize_phases(eff.pseudo_inverse @ s_block, codebook)
     s_act = s_block
 
     iterations = np.zeros(num_cols, dtype=int)

@@ -77,6 +77,15 @@ class TestDrawFading:
         a = draw_fading(7, 13, np.random.default_rng(99))
         b = draw_fading(7, 13, np.random.default_rng(99))
         assert np.array_equal(a, b)
+        # the one (2, K, M) draw equals a real block then an imaginary one,
+        # each drawn on its own, and leaves the generator where they do
+        for (k, m), seed in [((1, 1), 0), ((7, 13), 99), ((32, 225), 777), ((2, 64), 2**70)]:
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            re = ref_rng.standard_normal((k, m))
+            im = ref_rng.standard_normal((k, m))
+            h = draw_fading(k, m, rng)
+            assert h.tobytes() == ((re + 1j * im) / np.sqrt(2.0)).tobytes()
+            assert rng.random() == ref_rng.random()
 
 
 class TestAssemble:

@@ -17,13 +17,19 @@ from ristx.solver import (
     _guarded_step,
     _nearest_index,
     _no_move_bound,
-    _seed,
     _still_columns,
     quantize_phases,
     solve_block,
 )
 
 CONT = PhaseCodebook(None)
+SIGNED_ZEROS = np.array([0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)])
+
+
+def assert_phase_zero(w):
+    """Every entry of ``w`` is exactly ``1+0j``, the sign of its zero included."""
+    assert np.array_equal(w, np.ones_like(w))
+    assert not np.any(np.signbit(np.imag(w)))
 
 
 def random_problem(rng, num_users, num_elements):
@@ -122,12 +128,17 @@ class TestQuantize:
             alt = np.abs(wrap_phase(phase - np.angle(u)))
             assert np.all(chosen <= alt + 1e-12)
 
-    def test_zero_maps_to_first_entry(self):
-        w = quantize_phases(np.array([0.0 + 0.0j, 1.0]), PhaseCodebook(2))
-        assert np.angle(w[0]) == pytest.approx(-np.pi)
-        assert w[1] == pytest.approx(1.0)
-        wc = quantize_phases(np.array([0.0 + 0.0j]), CONT)
-        assert np.angle(wc[0]) == pytest.approx(-np.pi)
+    @pytest.mark.parametrize("bits", [*range(1, MAX_CODEBOOK_BITS + 1), None])
+    def test_zero_takes_phase_zero(self, bits):
+        # every signed zero, in a block and alone; the entries beside the
+        # zeros keep their own answers
+        cb = PhaseCodebook(bits)
+        others = np.array([np.exp(2.5j), -1j])
+        w = quantize_phases(np.concatenate([SIGNED_ZEROS, others]), cb)
+        assert_phase_zero(w[:4])
+        assert np.array_equal(w[4:], quantize_phases(others, cb))
+        for zero in SIGNED_ZEROS:
+            assert_phase_zero(quantize_phases(zero, cb))
 
     @pytest.mark.parametrize("bits", [1, 4, 16, None])
     @pytest.mark.parametrize("shape", [(3, 0), (0,)])
@@ -212,12 +223,12 @@ class TestQuantize:
         ])
         u = np.exp(1j * grid)
         assert np.array_equal(quantize_phases(u, cb), exhaustive(u))
-        # scaled (non-unit) moduli, and zeros, which take the first phase
-        zeros = np.array([0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)])
+        # scaled (non-unit) moduli, and the signed zeros, which take phase 0
         u = np.concatenate([scale * np.exp(1j * grid) for scale in (1e-300, 0.37, 5.0, 1e300)]
-                           + [zeros])
-        expected = np.where(u == 0, np.exp(1j * cb.phases[0]), exhaustive(u))
-        assert np.array_equal(quantize_phases(u, cb), expected)
+                           + [SIGNED_ZEROS])
+        w = quantize_phases(u, cb)
+        assert np.array_equal(w[:-4], exhaustive(u[:-4]))
+        assert_phase_zero(w[-4:])
         # one and two ULPs either side of every midpoint and of +-pi, on the
         # angle itself (an exp/angle round trip would blur a single ULP)
         edges = np.concatenate([slots + spacing / 2, slots - spacing / 2,
@@ -235,7 +246,7 @@ class TestQuantize:
 class TestInit:
     def test_scalar_preserves_phase(self):
         eff = EffectiveMatrix.from_matrix(np.array([[2.0 + 0j]]))
-        w = _seed(eff, np.array([4.0j]), CONT)
+        w = quantize_phases(eff.pseudo_inverse @ np.array([4.0j]), CONT)
         assert w[0] == pytest.approx(1j, rel=1e-12)
 
     def test_row_vector_closed_form(self):
@@ -243,25 +254,27 @@ class TestInit:
         mat = np.array([[1.0, 1.0j]])
         eff = EffectiveMatrix.from_matrix(mat)
         assert np.allclose(eff.pseudo_inverse, mat.conj().T / 2.0, atol=1e-14)
-        w = _seed(eff, np.array([1.0 + 0j]), CONT)
+        w = quantize_phases(eff.pseudo_inverse @ np.array([1.0 + 0j]), CONT)
         assert np.allclose(w, [1.0, -1.0j], atol=1e-12)
 
     def test_row_vector_quantized_tie(self):
         eff = EffectiveMatrix.from_matrix(np.array([[1.0, 1.0j]]))
-        w = _seed(eff, np.array([1.0 + 0j]), PhaseCodebook(1))
+        w = quantize_phases(eff.pseudo_inverse @ np.array([1.0 + 0j]), PhaseCodebook(1))
         assert np.allclose(w, [1.0, -1.0], atol=1e-15)
 
     @pytest.mark.parametrize("bits", [*range(1, MAX_CODEBOOK_BITS + 1), None])
     def test_exact_zero_takes_phase_zero(self, bits):
-        # pinv @ s is [1, 0]: the seed gives its exact zero phase 0, where
-        # quantize_phases alone would send it to the first phase, -pi
+        # pinv @ s is [1, 0]: the seed gives its exact zero phase 0, whatever
+        # the zero's signs, and the solve that starts there stays there
         cb = PhaseCodebook(bits)
         eff = EffectiveMatrix.from_matrix(np.array([[1.0, 0.0]]))
         s = np.array([1.0 + 0j])
-        assert np.array_equal(eff.pseudo_inverse @ s, [1.0, 0.0])
-        assert np.array_equal(_seed(eff, s, cb), [1.0, 1.0])
-        assert np.allclose(quantize_phases(eff.pseudo_inverse @ s, cb), [1.0, -1.0],
-                           atol=1e-15)
+        raw = eff.pseudo_inverse @ s
+        assert np.array_equal(raw, [1.0, 0.0])
+        for zero in SIGNED_ZEROS:
+            raw[1] = zero
+            assert_phase_zero(quantize_phases(raw, cb))
+        assert_phase_zero(solve_block(eff, s, cb).w)
 
 
 class TestGain:
@@ -401,7 +414,7 @@ class TestSolve:
         for cb in (PhaseCodebook(2), CONT):
             for _ in range(20):
                 eff, s = random_problem(rng, 2, 8)
-                w0 = _seed(eff, s, cb)
+                w0 = quantize_phases(eff.pseudo_inverse @ s, cb)
                 first = objective(eff, w0, s, column_gain(eff, w0, s))
                 sol = solve_block(eff, s, cb)
                 assert sol.final_objectives[0] <= first + 1e-12
@@ -648,7 +661,7 @@ class TestBlockSolver:
         block = crandn(rng, 2, 12)
         sol = solve_block(eff, block, cb)
         assert np.all(sol.iterations == 1)
-        assert np.array_equal(sol.w, _seed(eff, block, cb))
+        assert np.array_equal(sol.w, quantize_phases(eff.pseudo_inverse @ block, cb))
         gains, _, objectives = _gain_and_objective(eff, sol.w, block)
         assert np.array_equal(sol.gains, gains)
         assert np.array_equal(sol.final_objectives, objectives)
@@ -665,7 +678,7 @@ class TestBlockSolver:
         block = crandn(rng, 16, 8)
         sol = solve_block(eff, block, cb)
         assert np.all(sol.iterations == 1)
-        assert not np.array_equal(sol.w, _seed(eff, block, cb))
+        assert not np.array_equal(sol.w, quantize_phases(eff.pseudo_inverse @ block, cb))
         evaluations = counting_evaluations(monkeypatch, eff, block, cb)
         assert len(evaluations) == 2
         gains, _, objectives = evaluations[-1]
@@ -691,7 +704,7 @@ class TestBlockSolver:
         sol = solve_block(eff, block, cb)
         assert not np.all(masks[0])
         assert np.all(sol.iterations == 1)
-        assert np.array_equal(sol.w, _seed(eff, block, cb))
+        assert np.array_equal(sol.w, quantize_phases(eff.pseudo_inverse @ block, cb))
         evaluations = counting_evaluations(monkeypatch, eff, block, cb)
         assert len(evaluations) == 1
         gains, _, objectives = evaluations[0]
@@ -706,7 +719,8 @@ class TestBlockSolver:
         eff = EffectiveMatrix.from_matrix(crandn(rng, 8, 8))
         block = crandn(rng, 8, 20)
         sol = solve_block(eff, block, cb)
-        back = (sol.iterations > 1) & np.all(sol.w == _seed(eff, block, cb), axis=0)
+        seed = quantize_phases(eff.pseudo_inverse @ block, cb)
+        back = (sol.iterations > 1) & np.all(sol.w == seed, axis=0)
         assert np.any(back)
         residual = block - (eff.matrix @ sol.w) * sol.gains
         assert np.allclose(np.sum(np.abs(residual) ** 2, axis=0), sol.final_objectives,
@@ -814,7 +828,7 @@ class TestIterationCap:
         for _ in range(5):
             eff, s = random_problem(rng, num_users, num_elements)
             sol = solve_block(eff, s, CONT)
-            w = _seed(eff, s[:, None], CONT)
+            w = quantize_phases(eff.pseudo_inverse @ s[:, None], CONT)
             changes = []
             while not changes or changes[-1] >= threshold:
                 gains, residual, _ = _gain_and_objective(eff, w, s[:, None])
