@@ -11,6 +11,7 @@ from dataclasses import replace
 
 from .errors import ConfigError
 from .harness import (
+    PRESETS,
     SCHEME_SINGLE_RF,
     TRIAL_COLUMNS,
     SimConfig,
@@ -58,7 +59,7 @@ def _build_parser():
     sweep = sub.add_parser("sweep", help="run a Monte-Carlo sweep")
     source = sweep.add_mutually_exclusive_group(required=True)
     source.add_argument("config", nargs="?", help="JSON config file")
-    source.add_argument("--preset", choices=("fig2", "fig3", "fig4"),
+    source.add_argument("--preset", choices=PRESETS,
                         help="built-in figure-reproduction sweep")
     sweep.add_argument("-o", "--output", required=True, help="output directory")
     sweep.add_argument("--seed", type=int, help="override the master seed")
@@ -74,7 +75,7 @@ def _build_parser():
     trial.add_argument("-M", type=int, required=True, help="number of elements")
     trial.add_argument("-B", required=True,
                        help="phase bits, or 'continuous' / 'inf'")
-    trial.add_argument("--seed", type=int, default=12345, help="master seed")
+    trial.add_argument("--seed", type=int, help="master seed (default: the SimConfig default)")
     trial.add_argument("--trial-index", type=_int_at_least(0), default=0)
     trial.add_argument("-N", "--intervals", type=int, default=None,
                        help="override block length N")
@@ -109,10 +110,9 @@ def _cmd_sweep(args):
 
 
 def _cmd_trial(args):
-    data = {"master_seed": args.seed, "m_list": [args.M], "k_list": [args.K],
-            "b_list": [args.B]}
-    if args.intervals is not None:
-        data["num_intervals"] = args.intervals
+    data = {"master_seed": args.seed, "num_intervals": args.intervals,
+            "m_list": [args.M], "k_list": [args.K], "b_list": [args.B]}
+    data = {k: v for k, v in data.items() if v is not None}
     if not args.with_baseline:
         data["schemes"] = [SCHEME_SINGLE_RF]
     cfg = SimConfig.from_dict(data)

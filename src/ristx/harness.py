@@ -51,9 +51,11 @@ MANIFEST_JSON = "manifest.json"
 # distortion of the matched-filter benchmark turns non-finite.
 MAX_SHADOW_STD_DB = 100
 
-# Largest surface a config may ask for, a 256 x 256 grid: one (M, N) complex
-# block of N=100 intervals is 100 MiB at this size.
+# Largest surface a config may ask for, a 256 x 256 grid, and most entries a
+# (K, M), (K, N) or (M, N) array of a trial may hold: 128 MiB of complex128,
+# the (M, N) block at M = MAX_ELEMENTS and N = 128.
 MAX_ELEMENTS = 2**16
+MAX_BLOCK_ENTRIES = 2**23
 
 TRIAL_COLUMNS = (
     "scheme", "K", "M", "B", "trial_index", "trial_seed",
@@ -106,7 +108,7 @@ class SimConfig:
     def __post_init__(self):
         """Store each field in canonical form (ints, floats, tuples, schemes
         in ``SCHEMES`` order) if it fits its row of ``_FIELDS``, no array
-        lists an entry twice and no rule of ``_RULES`` objects; else raise a
+        lists an entry twice and ``_check_rules`` passes; else raise a
         ``ConfigError`` naming the first field that does not.  This runs on
         every construction, ``dataclasses.replace`` included."""
         for name, spec in self.__dataclass_fields__.items():
@@ -127,10 +129,7 @@ class SimConfig:
             object.__setattr__(self, name, value)
         object.__setattr__(self, "schemes",
                            tuple(sorted(self.schemes, key=SCHEMES.index)))
-        for name, objection in _RULES:
-            message = objection(self)
-            if message:
-                raise ConfigError(name, message)
+        _check_rules(self)
 
     def to_dict(self):
         """JSON-ready fields: arrays as lists, the continuous codebook as
@@ -228,28 +227,53 @@ _FIELDS = {
 }
 
 
-# The normal float range less a headroom of 2**64 at each end, where the
-# scale attenuation**2 of the effective matrix must lie.  A
-# trial sums K * M such squares into ||Heff @ w||^2 and its spectral norm,
-# and the squared feed gain reaches 1 / (eps * scale) before the solver's
-# zero-norm guard stops it; 2**64 covers both (1 / eps is 2**52) with room
-# for the fading and symbol draws.
+# The normal float range less a headroom of 2**64 at each end: see _check_rules.
 _SCALE_RANGE = (np.finfo(float).tiny * 2.0**64, np.finfo(float).max / 2.0**64)
 
+# Shadowing draws more than this many standard deviations below 0 dB are
+# taken never to occur: the odds are below 1e-23 per user.
+_SHADOW_SIGMAS = 10
 
-def _in_scale_range(values):
-    return bool(np.all((values >= _SCALE_RANGE[0]) & (values <= _SCALE_RANGE[1])))
 
+def _check_rules(cfg):
+    """Raise a ``ConfigError`` naming the field of the first rule across
+    fields that ``cfg`` breaks; each field already fits its ``_FIELDS`` row.
 
-def _surface_faults(cfg):
-    """Why the feed beam misses an element of a configured surface size, if
-    it does; every trial at that size would fail.  A size whose
-    ``attenuation**2`` leaves ``_SCALE_RANGE`` fails every trial too.  That
-    raises a ``ConfigError`` on the first factor that takes it out: the
-    geometry's ``attenuation**2`` at unit efficiency, then the efficiency
-    (``zeta_db``).  The geometry is ``feed_distance`` when its square
-    leaves the float range, else ``wavelength``: the element pitch, and the
-    feed distance too when that is null."""
+    User distances are drawn through ``r_max**2``, and the receive gains
+    divide by the root of the path gain, whose weakest value, ``(r_max /
+    r_min)**-path_loss_exponent`` at ``-_SHADOW_SIGMAS`` standard deviations
+    of shadowing, must stay above the floor of ``_SCALE_RANGE``.
+
+    Every trial at a surface size fails if the feed beam misses an element
+    or ``attenuation**2``, the scale of the effective matrix, leaves
+    ``_SCALE_RANGE``.  A trial sums K * M such squares into ||Heff @ w||^2
+    and its spectral norm, and the squared feed gain reaches
+    1 / (eps * scale) before the solver's zero-norm guard stops it; the
+    headroom of 2**64 covers both (1 / eps is 2**52) with room for the
+    fading and symbol draws.  The blame goes to the geometry's
+    ``attenuation**2`` at unit efficiency first, then to ``zeta_db``.  The
+    geometry is ``feed_distance`` when its square leaves the float range,
+    else ``wavelength``: the element pitch, and the feed distance too when
+    that is null.  Last, no trial array may exceed ``MAX_BLOCK_ENTRIES``."""
+    if cfg.r_max <= cfg.r_min:
+        raise ConfigError("r_max", "must exceed r_min")
+    if cfg.shadow_std_db > MAX_SHADOW_STD_DB:
+        raise ConfigError("shadow_std_db", f"must be at most {MAX_SHADOW_STD_DB} dB")
+    try:
+        weakest = (10.0 ** (-_SHADOW_SIGMAS * cfg.shadow_std_db / 10.0)
+                   / (cfg.r_max / cfg.r_min) ** cfg.path_loss_exponent)
+        fits = math.isfinite(cfg.r_max**2) and weakest >= _SCALE_RANGE[0]
+    except OverflowError:
+        fits = False
+    if not fits:
+        raise ConfigError("r_max", (
+            "is too large: r_max**2 overflows, or (r_max / r_min)**path_loss_exponent "
+            f"at {_SHADOW_SIGMAS} sigma of shadowing leaves the float range"))
+    if cfg.r_min**2 < sys.float_info.min:
+        raise ConfigError("r_min", "is too small: r_min**2 underflows")
+    if SCHEME_SINGLE_RF not in cfg.schemes:
+        raise ConfigError("schemes", "the single-RF scheme is required "
+                                     "(the benchmark power-matches against it)")
     fd = cfg.feed_distance
     geometry = "wavelength" if fd is None or 0 < fd * fd < math.inf else "feed_distance"
     efficiency = 10.0 ** (cfg.zeta_db / 10.0)
@@ -260,54 +284,22 @@ def _surface_faults(cfg):
                     m, cfg.wavelength, cfg.feed_distance_for(m),
                     math.radians(cfg.feed_beamwidth_deg), 1.0).attenuation
         except ValueError as e:  # an element outside the feed beam
-            return f"leaves the M={m} surface partly unlit: {e}"
+            raise ConfigError("feed_beamwidth_deg",
+                              f"leaves the M={m} surface partly unlit: {e}") from None
         except OverflowError:
             attenuation = np.inf
         with np.errstate(all="ignore"):
             scale = attenuation**2
-            scales = ((geometry, scale), ("zeta_db", scale * efficiency))
-        for name, value in scales:
-            if not _in_scale_range(value):
-                raise ConfigError(name, f"puts the M={m} surface outside the float range")
-    return None
-
-
-# Shadowing draws more than this many standard deviations below 0 dB are
-# taken never to occur: the odds are below 1e-23 per user.
-_SHADOW_SIGMAS = 10
-
-
-def _cell_edge_faults(cfg):
-    """Why the cell edge is too far out, if it is.  User distances are drawn
-    through r_max**2, and the receive gains divide by the root of the path
-    gain, whose weakest value, ``(r_max / r_min)**-path_loss_exponent`` at
-    ``-_SHADOW_SIGMAS`` standard deviations of shadowing, must stay above
-    the floor of ``_SCALE_RANGE``."""
-    try:
-        weakest = (10.0 ** (-_SHADOW_SIGMAS * cfg.shadow_std_db / 10.0)
-                   / (cfg.r_max / cfg.r_min) ** cfg.path_loss_exponent)
-        fits = math.isfinite(cfg.r_max**2) and weakest >= _SCALE_RANGE[0]
-    except OverflowError:
-        fits = False
-    return not fits and (
-        "is too large: r_max**2 overflows, or (r_max / r_min)**path_loss_exponent "
-        f"at {_SHADOW_SIGMAS} sigma of shadowing leaves the float range")
-
-
-# (field, objection), checked in order once every field fits its row; an
-# objection returns what is wrong with the config, or a false value
-# (``_surface_faults`` raises itself where the fault lies in another field)
-_RULES = (
-    ("r_max", lambda c: c.r_max <= c.r_min and "must exceed r_min"),
-    ("shadow_std_db", lambda c: c.shadow_std_db > MAX_SHADOW_STD_DB and
-     f"must be at most {MAX_SHADOW_STD_DB} dB"),
-    ("r_max", _cell_edge_faults),
-    ("r_min", lambda c: c.r_min**2 < sys.float_info.min and
-     "is too small: r_min**2 underflows"),
-    ("schemes", lambda c: SCHEME_SINGLE_RF not in c.schemes and
-     "the single-RF scheme is required (the benchmark power-matches against it)"),
-    ("feed_beamwidth_deg", _surface_faults),
-)
+            for name, value in ((geometry, scale), ("zeta_db", scale * efficiency)):
+                if not np.all((value >= _SCALE_RANGE[0]) & (value <= _SCALE_RANGE[1])):
+                    raise ConfigError(name, f"puts the M={m} surface outside the float range")
+    m_max = max(cfg.m_list)
+    if m_max * cfg.num_intervals > MAX_BLOCK_ENTRIES:
+        raise ConfigError("num_intervals", "is too large: max(m_list) * num_intervals "
+                                           f"exceeds {MAX_BLOCK_ENTRIES} entries")
+    if max(cfg.k_list) * max(m_max, cfg.num_intervals) > MAX_BLOCK_ENTRIES:
+        raise ConfigError("k_list", "is too large: max(k_list) * max(max(m_list), "
+                                    f"num_intervals) exceeds {MAX_BLOCK_ENTRIES} entries")
 
 
 def b_label(b):
@@ -733,7 +725,7 @@ def summarize(rows, cfg):
 
 
 # The figure-reproduction sweeps: the fields each sets, the rest default.
-_PRESETS = {
+PRESETS = {
     "fig2": {"m_list": [64, 121, 225], "b_list": [4],
              "schemes": [SCHEME_SINGLE_RF, SCHEME_MF]},
     "fig3": {"m_list": [64, 121, 225], "b_list": [4], "schemes": [SCHEME_SINGLE_RF]},
@@ -744,9 +736,9 @@ _PRESETS = {
 
 def preset_config(name, trials=None, master_seed=None):
     """The three figure-reproduction sweeps."""
-    if name not in _PRESETS:
+    if name not in PRESETS:
         raise ConfigError("preset", f"unknown preset {name!r}")
     overrides = {"trials": trials, "master_seed": master_seed}
     return SimConfig.from_dict(
-        _PRESETS[name] | {k: v for k, v in overrides.items() if v is not None}
+        PRESETS[name] | {k: v for k, v in overrides.items() if v is not None}
     )

@@ -46,9 +46,12 @@ class TestValidateConfig:
         assert "1 sweep points" in capsys.readouterr().out
 
     def test_largest_surface_ok(self, tmp_path, capsys):
-        path = write_config(tmp_path, {"m_list": [65536], "k_list": [2], "b_list": [4]})
-        assert main(["validate-config", path]) == 0
-        assert "1 sweep points" in capsys.readouterr().out
+        # at the default 100 intervals, and at 128, the most its blocks can hold
+        for extra in ({}, {"num_intervals": 128}):
+            path = write_config(tmp_path, {"m_list": [65536], "k_list": [2], "b_list": [4]}
+                                | extra)
+            assert main(["validate-config", path]) == 0
+            assert "1 sweep points" in capsys.readouterr().out
 
     def test_bad_field_named(self, tmp_path, capsys):
         cfg = tiny_config_dict()
@@ -117,6 +120,20 @@ class TestValidateConfig:
             ({"feed_power": 1e-310, "m_list": [4], "b_list": [4], "k_list": [2],
               "trials": 2, "schemes": ["single_rf"]}, "feed_power",
              "unknown config field"),
+            ({"r_max": 50}, "r_max", "must exceed r_min"),
+            ({"r_min": 1e-300, "r_max": 1e-299}, "r_min",
+             "is too small: r_min**2 underflows"),
+            ({"schemes": ["mf_digital"]}, "schemes", "the single-RF scheme is required"),
+            ({"zeta_db": -3000}, "zeta_db", "puts the M=64 surface outside the float range"),
+            ({"k_list": [2, 2]}, "k_list", "lists an entry twice"),
+            ({"k_list": []}, "k_list", "must not be empty"),
+            ({"m_list": [65536], "k_list": [2], "num_intervals": 129}, "num_intervals",
+             "is too large: max(m_list) * num_intervals exceeds 8388608 entries"),
+            ({"num_intervals": 1e20}, "num_intervals", "is too large"),
+            ({"num_intervals": 1000000000}, "num_intervals", "is too large"),
+            ({"k_list": [1e20]}, "k_list", "is too large: max(k_list) * max(max(m_list), "
+             "num_intervals) exceeds 8388608 entries"),
+            ({"k_list": [1000000000]}, "k_list", "is too large"),
         ],
         ids=["m_list-scalar", "b_list-scalar", "schemes-string", "b_list-fraction",
              "b_list-bool", "trials-fraction", "master_seed-bool", "m_list-bool",
@@ -129,7 +146,10 @@ class TestValidateConfig:
              "r_max-1e200", "shadow_std_db-1e5", "shadow_std_db-800",
              "feed_distance-1e160", "wavelength-1e200", "wavelength-1e-170",
              "wavelength-1e200-feed_distance-set", "wavelength-1e-300-feed_distance-set",
-             "feed_power-1e-310"],
+             "feed_power-1e-310", "r_max-below-r_min", "r_min-underflow",
+             "schemes-no-single-rf", "zeta_db-3000", "k_list-twice", "k_list-empty",
+             "num_intervals-block-cap", "num_intervals-1e20", "num_intervals-1e9",
+             "k_list-1e20", "k_list-1e9"],
     )
     def test_mistyped_list_field_named(self, tmp_path, capsys, data, field, message):
         path = write_config(tmp_path, data)
@@ -241,6 +261,21 @@ class TestTrial:
     def test_bad_geometry_is_usage_error(self, capsys):
         assert main(["trial", "-K", "2", "-M", "5", "-B", "2", "--seed", "1"]) == 2
         assert "m_list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,field", [("-N", "num_intervals"), ("-K", "k_list")])
+    def test_oversized_array_is_usage_error(self, capsys, flag, field):
+        # argparse keeps the last value of a repeated option
+        args = ["trial", "-K", "2", "-M", "4", "-B", "4", flag, "100000000000000000000"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert f"config field '{field}': is too large" in err and "Traceback" not in err
+
+    def test_seed_defaults_to_the_config_default(self, capsys):
+        args = ["trial", "-K", "2", "-M", "4", "-B", "2", "-N", "4"]
+        assert main(args) == 0
+        unset = capsys.readouterr().out
+        assert main([*args, "--seed", str(SimConfig().master_seed)]) == 0
+        assert capsys.readouterr().out == unset
 
 
 class TestSweep:

@@ -101,6 +101,10 @@ class TestConfig:
             pytest.param("r_max", dict(r_max=1e100, path_loss_exponent=3.0,
                                        shadow_std_db=100.0), id="r_max-value38"),
             pytest.param("r_min", dict(r_min=1e-300, r_max=1e-299), id="r_min-value39"),
+            pytest.param("num_intervals", dict(m_list=(65536,), num_intervals=129),
+                         id="num_intervals-block-cap"),
+            pytest.param("num_intervals", 1e20, id="num_intervals-1e20"),
+            pytest.param("k_list", (1e20,), id="k_list-1e20"),
         ],
     )
     def test_invalid_fields_name_the_field(self, field, value):

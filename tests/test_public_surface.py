@@ -4,10 +4,12 @@ The README's library quick start must run as written, and ``ristx.harness``
 must keep calling through the names that ``perfbench/tracing.py`` patches,
 so that a traced replay still sees every stage of a trial.  Every ristx
 module must use each name it imports and each private name it defines, and
-import no other module's private name.
+import no other module's private name; a field that a ``ConfigError`` names
+literally must exist.
 """
 
 import ast
+import dataclasses
 import importlib.util
 import re
 import types
@@ -101,6 +103,21 @@ def test_no_module_imports_another_modules_private_name():
                 private += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
                             if alias.name.startswith("_") and not alias.name.startswith("__")]
     assert private == []
+
+
+def test_every_config_error_names_a_field():
+    # a literal first argument must be a SimConfig field or a named non-field source
+    fields = {f.name for f in dataclasses.fields(ristx.harness.SimConfig)}
+    allowed = fields | {"<root>", "<file>", "resume", "preset"}
+    stray = []
+    for path in sorted((ROOT / "src" / "ristx").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "ConfigError" and node.args
+                    and isinstance(node.args[0], ast.Constant)
+                    and node.args[0].value not in allowed):
+                stray.append(f"{path.name}:{node.lineno} {node.args[0].value!r}")
+    assert stray == []
 
 
 def test_harness_has_every_name_the_tracer_patches():
