@@ -353,12 +353,18 @@ def run_trial(cfg, num_users, num_elements, b, trial_index, surface=None,
 
     Returns (rows, record): the ``TRIAL_COLUMNS`` row of each configured
     scheme, and a JSON-serializable trial record, whose ``results`` are those
-    rows, when ``with_record`` is set (else None).
+    rows, when ``with_record`` is set (else None).  ``trial_index`` is read
+    as a whole number: ``2.0`` is 2, and ``1.5``, ``True`` or ``"1"`` is a
+    ``ValueError``.
     An error propagates as the failing module raised it; a sweep labels it
     with the sweep point (see ``run_sweep``).  Side effect: the first trial
     in a process keeps freed heap and one BLAS thread (``_trial_process``).
     """
     _trial_process()
+    try:
+        trial_index = _whole(trial_index)
+    except TypeError:
+        raise ValueError(f"trial_index must be a whole number, got {trial_index!r}") from None
     if surface is None:
         surface = build_surface(cfg, num_elements)
     trial_seed, users_rng, fading_rng, symbols_rng = derive_trial_streams(
@@ -496,29 +502,29 @@ def _planned_keys(cfg, points):
                 yield (scheme, str(k), str(m), b_label(b), str(idx), seed)
 
 
-def _whole_points(rows, cfg, points):
-    """How many whole points start ``rows``, once they are checked to be a
-    prefix of this sweep's plan (a longer file is not)."""
+def _resumed_rows(out, cfg, points):
+    """The whole points of ``out``'s ``trials.csv`` that a resume keeps, once
+    its rows prove a prefix of ``cfg``'s plan.  If one would be kept, or a
+    ``manifest.json`` exists, that must echo ``cfg`` (the plan keys hold no
+    physics field); a missing or unreadable one does not.  Else ConfigError."""
+    path = out / TRIALS_CSV
+    rows = _read_existing_rows(path) if path.exists() else []
     got = [tuple(row[c] for c in TRIAL_COLUMNS[:6]) for row in rows]
     if got != list(itertools.islice(_planned_keys(cfg, points), len(got))):
-        raise ConfigError(
-            "resume", "existing trials.csv is not a prefix of this sweep's plan; "
-            "use a fresh output directory"
-        )
-    return len(rows) // (cfg.trials * len(cfg.schemes))
-
-
-def _check_manifest_config(path, cfg):
-    """``ConfigError`` unless the manifest at ``path`` echoes ``cfg``: no physics
-    field enters the plan keys, so rows of another config pass that check."""
-    try:
-        echo = json.loads(path.read_text(encoding="utf-8"))["config"]
-        same = SimConfig.from_dict(echo) == cfg
-    except (ValueError, KeyError, TypeError):
-        same = False
-    if not same:
-        raise ConfigError("resume", f"{path} was written under another config; "
+        raise ConfigError("resume", f"{path} is not a prefix of this sweep's plan; "
                           "use a fresh output directory")
+    kept = rows[: len(rows) - len(rows) % (cfg.trials * len(cfg.schemes))]
+    manifest = out / MANIFEST_JSON
+    if kept or manifest.exists():
+        try:
+            echo = json.loads(manifest.read_text(encoding="utf-8"))["config"]
+            same = SimConfig.from_dict(echo) == cfg
+        except (OSError, ValueError, KeyError, TypeError):
+            same = False
+        if not same:
+            raise ConfigError("resume", f"{manifest} is missing, unreadable or written "
+                              "under another config; use a fresh output directory")
+    return kept
 
 
 def _write_json(path, data):
@@ -622,14 +628,13 @@ def run_sweep(cfg, output_dir, workers=1, resume=False, preset=None):
     flushed point by point, whatever the worker count), ``summary.csv``
     (per-point aggregates) and ``manifest.json``.  Returns the summary rows.
     With ``resume``, the whole points of an existing ``trials.csv`` are kept
-    if it is a prefix of this sweep's plan and an existing ``manifest.json``
-    echoes this config (else a ``ConfigError`` naming ``resume``).  The
-    manifest is written before the first trial, with ``duration_seconds``
-    null, and again at the end.
+    (see ``_resumed_rows``; a refusal names ``resume`` and writes nothing).
+    The manifest is written once ``trials.csv`` holds only those rows, before
+    the first trial, with ``duration_seconds`` null, and again at the end.
     A failed trial (see ``_point_rows``), a pool worker that dies or a
-    ``KeyboardInterrupt`` ends the sweep after the points before it: the
-    exception propagates once the manifest lists its message (or
-    "interrupted") as the one entry of ``failures``, with
+    ``KeyboardInterrupt`` (also while the pool starts) ends the sweep after
+    the points before it: the exception propagates once the manifest lists
+    its message (or "interrupted") as the one entry of ``failures``, with
     ``duration_seconds`` still null and no ``summary.csv``.  Like any early
     stop, this leaves whole points of the plan, which ``resume`` completes.
 
@@ -647,13 +652,8 @@ def run_sweep(cfg, output_dir, workers=1, resume=False, preset=None):
     started = time.time()
 
     points = sweep_points(cfg)
-    rows = _read_existing_rows(trials_path) if resume and trials_path.exists() else []
-    done = _whole_points(rows, cfg, points)
-    manifest_path = out / MANIFEST_JSON
-    if resume and manifest_path.exists():
-        _check_manifest_config(manifest_path, cfg)
-    kept = rows[: done * cfg.trials * len(cfg.schemes)]
-    todo = points[done:]
+    kept = _resumed_rows(out, cfg, points) if resume else []
+    todo = points[len(kept) // (cfg.trials * len(cfg.schemes)):]
     # a forked pool starts all its workers at once: no more than can be busy
     workers = max(1, min(workers, len(todo)))
 
@@ -669,27 +669,30 @@ def run_sweep(cfg, output_dir, workers=1, resume=False, preset=None):
         "duration_seconds": None,
         "failures": [],
     }
-    _write_json(manifest_path, manifest)
+    manifest_path = out / MANIFEST_JSON
     (out / SUMMARY_CSV).unlink(missing_ok=True)  # an early stop leaves none
-    pool = contextlib.nullcontext()
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # a slow import
+    with open(trials_path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(TRIAL_COLUMNS) + "\n")
+        fh.writelines(format_row(row, TRIAL_COLUMNS) for row in kept)
+        fh.flush()  # before the manifest names this config
+        try:
+            _write_json(manifest_path, manifest)
+            pool = contextlib.nullcontext()
+            if workers > 1:
+                from concurrent.futures import ProcessPoolExecutor  # a slow import
 
-        pool = ProcessPoolExecutor(workers, initializer=_ignore_stop_signals,
-                                   initargs=(os.getpid(),))
-    try:
-        with pool, open(trials_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(TRIAL_COLUMNS) + "\n")
-            fh.writelines(format_row(row, TRIAL_COLUMNS) for row in kept)
-            point_map = pool.map if workers > 1 else map
-            # a raising result cancels the points that have not started
-            for rows in point_map(_point_rows, [cfg] * len(todo), *zip(*todo)):
-                fh.writelines(format_row(row, TRIAL_COLUMNS) for row in rows)
-                fh.flush()
-    except (RuntimeError, KeyboardInterrupt) as e:  # also a BrokenProcessPool
-        manifest["failures"].append(str(e) or "interrupted")
-        _write_json(manifest_path, manifest)
-        raise
+                pool = ProcessPoolExecutor(workers, initializer=_ignore_stop_signals,
+                                           initargs=(os.getpid(),))
+            with pool:
+                point_map = pool.map if workers > 1 else map
+                # a raising result cancels the points that have not started
+                for rows in point_map(_point_rows, [cfg] * len(todo), *zip(*todo)):
+                    fh.writelines(format_row(row, TRIAL_COLUMNS) for row in rows)
+                    fh.flush()
+        except (RuntimeError, KeyboardInterrupt) as e:  # also a BrokenProcessPool
+            manifest["failures"].append(str(e) or "interrupted")
+            _write_json(manifest_path, manifest)
+            raise
 
     summary = summarize(_read_existing_rows(trials_path), cfg)
     with open(out / SUMMARY_CSV, "w", encoding="utf-8", newline="") as fh:

@@ -389,23 +389,31 @@ class TestSweep:
         ("rows", "not a prefix of this sweep's plan"),
         ("header", "does not start with the expected header"),
         ("encoding", "is not UTF-8 text"),
-    ], ids=["manifest", "rows", "header", "encoding"])
+        ("no-manifest", "is missing, unreadable"),
+        ("manifest-unreadable", "is missing, unreadable"),
+    ], ids=["manifest", "rows", "header", "encoding", "no-manifest", "manifest-unreadable"])
     def test_rejected_resume_exits_2(self, tmp_path, capsys, damage, message):
         path = write_config(tmp_path, tiny_config_dict())
         out = tmp_path / "out"
         assert main(["sweep", path, "-o", str(out)]) == 0
         trials = out / TRIALS_CSV
         header, *rows = trials.read_text().splitlines()
+        keep = 1
         if damage == "manifest":
             path = write_config(tmp_path, tiny_config_dict() | {"r_max": 1500.0})
         elif damage == "rows":
             rows = rows[1:]
         elif damage == "header":
             header = header.replace("D_dB", "distortion")
+        elif damage in ("no-manifest", "manifest-unreadable"):
+            keep = len(rows)  # the one whole point, kept only beside its manifest
+            (out / MANIFEST_JSON).unlink()
+            if damage == "manifest-unreadable":
+                (out / MANIFEST_JSON).mkdir()
         if damage == "encoding":
             trials.write_bytes(b"\xff\xfe x\n")
         else:
-            trials.write_text("\n".join([header, *rows[:1]]) + "\n")
+            trials.write_text("\n".join([header, *rows[:keep]]) + "\n")
         capsys.readouterr()
         assert main(["sweep", path, "-o", str(out), "--resume"]) == 2
         err = capsys.readouterr().err

@@ -4,10 +4,13 @@ resumes, at either worker count, to the bytes of the uninterrupted one."""
 
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from ristx.errors import ConfigError
 from ristx.harness import MANIFEST_JSON, SUMMARY_CSV, TRIALS_CSV, SimConfig, run_sweep
 
 
@@ -39,7 +42,8 @@ def sweep(cfg, out, workers=1, resume=False):
 
 def check_cut_resumes(cfg, data, workers, pooled_too=False):
     """Cut the uninterrupted ``trials.csv`` after a drawn number of bytes,
-    which may fall inside the header or a row, and resume at ``workers``."""
+    which may fall inside the header or a row, beside its manifest: a resume
+    under another ``r_max`` is refused, and one at ``workers`` completes it."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         full = sweep(cfg, tmp / "full")
@@ -48,6 +52,12 @@ def check_cut_resumes(cfg, data, workers, pooled_too=False):
         (tmp / "cut").mkdir()
         cut = data.draw(st.integers(0, len(full[0])), label="cut")
         (tmp / "cut" / TRIALS_CSV).write_bytes(full[0][:cut])
+        (tmp / "cut" / MANIFEST_JSON).write_bytes((tmp / "full" / MANIFEST_JSON).read_bytes())
+        # the rows of another r_max pass the plan's keys: the manifest refuses them
+        with pytest.raises(ConfigError) as refused:
+            run_sweep(replace(cfg, r_max=2 * cfg.r_max), tmp / "cut", resume=True)
+        assert refused.value.field == "resume"
+        assert (tmp / "cut" / TRIALS_CSV).read_bytes() == full[0][:cut]
         assert sweep(cfg, tmp / "cut", workers=workers, resume=True) == full
         # a resume keeps rows, and reads as resumed, only if the cut holds a whole point
         whole_points = max(0, full[0][:cut].count(b"\n") - 1) // (

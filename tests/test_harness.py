@@ -236,6 +236,8 @@ class TestRunTrial:
         assert rows[0]["B"] == "inf" and rows[0]["scheme"] == "single_rf"
         assert rows[0]["trial_index"] == 1
         assert rows[0]["trial_seed"] == derive_trial_streams(99, 2, 4, None, 1)[0]
+        whole = trial_rows(cfg, 2, 4, None, 1.0)  # a whole float is that index
+        assert whole == rows and type(whole[0]["trial_index"]) is int
 
     def test_scalar_chain_is_exact(self):
         # one element, one user, continuous phases: the tuner matches the
@@ -256,6 +258,12 @@ class TestRunTrial:
         pytest.param({"b": 2.5}, "^bits must be None or a whole number", id="b=2.5"),
         pytest.param({"b": 17}, "^bits must be None or a whole number", id="b=17"),
         pytest.param({"trial_index": -1}, "non-negative", id="trial_index=-1"),
+        pytest.param({"trial_index": 1.5}, "^trial_index must be a whole number",
+                     id="trial_index=1.5"),
+        pytest.param({"trial_index": True}, "^trial_index must be a whole number",
+                     id="trial_index=True"),
+        pytest.param({"trial_index": "1"}, "^trial_index must be a whole number",
+                     id="trial_index='1'"),
         # a 4-element surface with no element draws: the stages trust their
         # shapes, and the effective matrix's broadcast refuses them
         pytest.param({"num_elements": 0, "surface": 4}, "broadcast",
@@ -350,7 +358,8 @@ class TestSweep:
         out = tmp_path / "pool"
         if resume:
             out.mkdir()
-            (out / TRIALS_CSV).write_bytes((tmp_path / "serial" / TRIALS_CSV).read_bytes())
+            for name in (TRIALS_CSV, MANIFEST_JSON):
+                (out / name).write_bytes((tmp_path / "serial" / name).read_bytes())
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         run_sweep(cfg, out, workers=workers, resume=resume)
         assert created == pool_sizes
@@ -388,6 +397,9 @@ class TestSweep:
         partial_dir.mkdir()
         (partial_dir / TRIALS_CSV).write_text(
             "\n".join(lines[:cut]) + "\n" + (lines[cut][:-1] if torn else ""))
+        if cut > 1:  # a cut that keeps a whole point resumes only beside its manifest
+            (partial_dir / MANIFEST_JSON).write_bytes(
+                (tmp_path / "full" / MANIFEST_JSON).read_bytes())
         run_sweep(cfg, partial_dir, workers=workers, resume=True)
         assert (partial_dir / TRIALS_CSV).read_text() == full
         assert (partial_dir / SUMMARY_CSV).read_bytes() == \
@@ -421,20 +433,50 @@ class TestSweep:
         with pytest.raises(ValueError, match="not a prefix"):
             run_sweep(tiny_config(b_list=(1,)), tmp_path / "out", resume=True)
 
-    @pytest.mark.parametrize("manifest_text,changes", [(None, {"r_max": 1500.0}), ("{", {})],
-                             ids=["r_max", "unparsable"])
-    def test_resume_rejects_another_config(self, tmp_path, manifest_text, changes):
+    @pytest.mark.parametrize(
+        "manifest,changes",
+        [("kept", {"r_max": 1500.0}), ("{", {}), ("missing", {}), ("directory", {})],
+        ids=["r_max", "unparsable", "missing", "unreadable"],
+    )
+    def test_resume_rejects_another_config(self, tmp_path, manifest, changes):
         # the plan keys hold no physics field, so a cut dataset of another
-        # r_max passes the prefix check: only its manifest tells it apart
+        # r_max passes the prefix check: only its manifest tells it apart;
+        # the cut keeps a whole point, so a missing or unreadable one refuses
         run_sweep(tiny_config(), tmp_path / "out")
         trials = tmp_path / "out" / TRIALS_CSV
         trials.write_text("\n".join(trials.read_text().split("\n")[:7]) + "\n")
-        if manifest_text is not None:
-            (tmp_path / "out" / MANIFEST_JSON).write_text(manifest_text)
+        manifest_path = tmp_path / "out" / MANIFEST_JSON
+        if manifest != "kept":
+            manifest_path.unlink()
+        if manifest == "directory":
+            manifest_path.mkdir()
+        elif manifest == "{":
+            manifest_path.write_text(manifest)
         kept = trials.read_bytes()
         with pytest.raises(ValueError, match="written under another config"):
             run_sweep(tiny_config(**changes), tmp_path / "out", resume=True)
         assert trials.read_bytes() == kept
+
+    def test_stop_before_the_first_point_leaves_no_foreign_rows(self, tmp_path,
+                                                                monkeypatch):
+        # a sweep of another r_max stopped while its pool starts: the rows
+        # of the first config must not pass for its own on resume
+        out = tmp_path / "out"
+        run_sweep(tiny_config(), out)
+        other = tiny_config(r_max=500.0)
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        with monkeypatch.context() as patch:
+            patch.setattr(concurrent.futures, "ProcessPoolExecutor", interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                run_sweep(other, out, workers=2)
+        assert json.loads((out / MANIFEST_JSON).read_text())["failures"] == ["interrupted"]
+        run_sweep(other, out, resume=True)
+        run_sweep(other, tmp_path / "fresh")
+        for name in (TRIALS_CSV, SUMMARY_CSV):
+            assert (out / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
 
     def test_manifest_is_written_before_the_first_trial(self, tmp_path, monkeypatch):
         manifest_path = tmp_path / "out" / MANIFEST_JSON
