@@ -9,11 +9,11 @@ import signal
 import sys
 from dataclasses import replace
 
-from .errors import ConfigError
 from .harness import (
     PRESETS,
     SCHEME_SINGLE_RF,
     TRIAL_COLUMNS,
+    ConfigError,
     SimConfig,
     format_row,
     preset_config,

@@ -28,7 +28,6 @@ import numpy as np
 from . import __version__
 from .baseline import mf_post_gains, mf_precode_block
 from .channel import assemble_channel, compensating_gains, draw_fading, draw_users
-from .errors import ConfigError
 from .geometry import propagation_coeffs
 from .metrics import average_power, db10, distortion, papr, transmit_block
 from .solver import (
@@ -83,6 +82,14 @@ _SUMMARY_STATS = {
     "converged_fraction": ("converged_fraction", np.mean),
 }
 SUMMARY_COLUMNS = ("scheme", "K", "M", "B", "n_trials", *_SUMMARY_STATS)
+
+
+class ConfigError(ValueError):
+    """Invalid simulation configuration; `field` names the offending entry."""
+
+    def __init__(self, field, message):
+        super().__init__(f"config field '{field}': {message}")
+        self.field = field
 
 
 @dataclass(frozen=True)
@@ -384,6 +391,8 @@ def run_trial(cfg, num_users, num_elements, b, trial_index, surface=None,
     d_rf = distortion(symbols, gains, channel, x_rf)
     p_out = average_power(sol.gains)
     papr_rf = papr(sol.gains)
+    # the stages took only whole counts: write numpy integers as Python ints
+    num_users, num_elements = int(num_users), int(num_elements)
     key = (num_users, num_elements, b_label(b), trial_index, trial_seed)
     rows = [
         trial_result(SCHEME_SINGLE_RF, key, d_rf, p_out, papr_rf,
@@ -631,20 +640,25 @@ def run_sweep(cfg, output_dir, workers=1, resume=False, preset=None):
     (see ``_resumed_rows``; a refusal names ``resume`` and writes nothing).
     The manifest is written once ``trials.csv`` holds only those rows, before
     the first trial, with ``duration_seconds`` null, and again at the end.
-    A failed trial (see ``_point_rows``), a pool worker that dies or a
-    ``KeyboardInterrupt`` (also while the pool starts) ends the sweep after
-    the points before it: the exception propagates once the manifest lists
-    its message (or "interrupted") as the one entry of ``failures``, with
-    ``duration_seconds`` still null and no ``summary.csv``.  Like any early
-    stop, this leaves whole points of the plan, which ``resume`` completes.
+    Any exception that ends the sweep once the manifest is written, such as
+    a failed trial (see ``_point_rows``), a pool worker that dies, an
+    ``OSError`` or a ``KeyboardInterrupt`` (also while the pool starts),
+    propagates once the manifest lists its message (or "interrupted") as
+    the one entry of ``failures``, with ``duration_seconds`` still null and
+    no ``summary.csv``.  Like any early stop, this leaves whole points of
+    the plan, which ``resume`` completes.
 
-    ``workers`` is capped at the number of points left to run, and a cap
-    of 1 runs them in this process; the manifest records the count used.
+    ``workers`` is read first, as the config reads a count: ``2.0`` is 2,
+    and ``2.5``, ``True``, ``"2"`` or ``0`` raises a ``ConfigError`` naming
+    ``workers`` before anything is written.  It is then capped at the
+    number of points left to run, and a cap of 1 runs them in this
+    process; the manifest records the count used.
 
     Side effects: the calling process is set up for trials before the pool,
     and forked workers inherit that (see ``_trial_process``): freed memory
     stays in the heap, and OpenBLAS runs on one thread.  Neither is undone.
     """
+    workers = _fit("workers", _whole, lambda v: v > 0, "a positive whole number", workers)
     _trial_process()
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -689,7 +703,7 @@ def run_sweep(cfg, output_dir, workers=1, resume=False, preset=None):
                 for rows in point_map(_point_rows, [cfg] * len(todo), *zip(*todo)):
                     fh.writelines(format_row(row, TRIAL_COLUMNS) for row in rows)
                     fh.flush()
-        except (RuntimeError, KeyboardInterrupt) as e:  # also a BrokenProcessPool
+        except BaseException as e:
             manifest["failures"].append(str(e) or "interrupted")
             _write_json(manifest_path, manifest)
             raise

@@ -8,8 +8,7 @@ import tempfile
 
 from hypothesis import given, settings, strategies as st
 
-from ristx.errors import ConfigError
-from ristx.harness import TRIAL_COLUMNS, TRIALS_CSV, SimConfig, run_sweep
+from ristx.harness import TRIAL_COLUMNS, TRIALS_CSV, ConfigError, SimConfig, run_sweep
 
 
 def log_uniform(low=1e-323, high=1e308):

@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ristx.errors import ConfigError
-from ristx.harness import MANIFEST_JSON, SUMMARY_CSV, TRIALS_CSV, SimConfig, run_sweep
+from ristx.harness import (MANIFEST_JSON, SUMMARY_CSV, TRIALS_CSV, ConfigError, SimConfig,
+                           run_sweep)
 
 
 def subsets(values):

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 import time
@@ -15,12 +16,12 @@ import pytest
 
 import ristx
 import ristx.harness
-from ristx.errors import ConfigError
 from ristx.harness import (
     SUMMARY_CSV,
     TRIAL_COLUMNS,
     TRIALS_CSV,
     MANIFEST_JSON,
+    ConfigError,
     SimConfig,
     b_label,
     build_surface,
@@ -290,6 +291,12 @@ class TestRunTrial:
         assert surf["M"] == 4 and len(surf["T"]) == 4 and len(surf["omega"]) == 4
         assert len(record["solver"]["iterations"]) == cfg.num_intervals
         json.dumps(record)  # must be serializable as-is
+        # numpy integer arguments give the same rows and a record that is JSON too
+        cfg = SimConfig(master_seed=7)
+        rows, record = run_trial(cfg, np.int64(2), np.int64(64), np.int64(4), np.int64(0),
+                                 with_record=True)
+        json.dumps(record)
+        assert rows == run_trial(cfg, 2, 64, 4, 0)[0]
 
     def test_record_surface_echoes_config(self):
         cfg = tiny_config(feed_distance=0.05, zeta_db=-3.0)
@@ -340,9 +347,11 @@ class TestSweep:
     @pytest.mark.parametrize(
         "changes,workers,resume,pool_sizes",
         [({"k_list": (2,)}, 3, False, [2]),
+         ({"k_list": (2,)}, 2.0, False, [2]),
          ({"b_list": (1,), "k_list": (2,)}, 2, False, []),
          ({"k_list": (2,)}, 2, True, [])],
-        ids=["2-points-3-workers", "1-point-2-workers", "finished-resume-2-workers"],
+        ids=["2-points-3-workers", "2-points-2.0-workers", "1-point-2-workers",
+             "finished-resume-2-workers"],
     )
     def test_pool_never_outnumbers_points_to_run(self, tmp_path, monkeypatch, changes,
                                                  workers, resume, pool_sizes):
@@ -365,8 +374,16 @@ class TestSweep:
         assert created == pool_sizes
         manifest = json.loads((out / MANIFEST_JSON).read_text())
         assert manifest["workers"] == (pool_sizes or [1])[0]
+        assert type(manifest["workers"]) is int
         for name in (TRIALS_CSV, SUMMARY_CSV):
             assert (out / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+
+    @pytest.mark.parametrize("workers", [2.5, True, "2", 0, -1])
+    def test_workers_are_read_before_anything_is_written(self, tmp_path, workers):
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=re.escape(f"'workers': {workers!r} is not")):
+            run_sweep(tiny_config(), out, workers=workers)
+        assert not out.exists()
 
     def test_manifest_round_trip_reproduces_dataset(self, tmp_path):
         cfg = tiny_config()
@@ -578,6 +595,31 @@ class TestSweep:
         assert manifest["failures"] == ["interrupted"]
         assert manifest["duration_seconds"] is None
         assert not (tmp_path / SUMMARY_CSV).exists()
+
+    def test_any_exception_that_ends_the_sweep_is_recorded(self, tmp_path, monkeypatch):
+        cfg = tiny_config()  # 4 points x 3 trials x 2 schemes
+        run_sweep(cfg, tmp_path / "full")
+        format_row = ristx.harness.format_row
+        written = []
+
+        def full_disk(row, columns):  # the disk fills once the first point is written
+            if len(written) == cfg.trials * len(cfg.schemes):
+                raise OSError(28, "No space left on device")
+            written.append(row)
+            return format_row(row, columns)
+
+        out = tmp_path / "out"
+        with monkeypatch.context() as patch:
+            patch.setattr("ristx.harness.format_row", full_disk)
+            with pytest.raises(OSError, match="No space left on device"):
+                run_sweep(cfg, out)
+        manifest = json.loads((out / MANIFEST_JSON).read_text())
+        assert manifest["failures"] == ["[Errno 28] No space left on device"]
+        assert manifest["duration_seconds"] is None
+        assert not (out / SUMMARY_CSV).exists()
+        run_sweep(cfg, out, resume=True)
+        for name in (TRIALS_CSV, SUMMARY_CSV):
+            assert (out / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
 
     def test_failed_point_cancels_the_points_not_started(self, tmp_path, monkeypatch):
         cfg = tiny_config(k_list=tuple(range(2, 10)))  # 16 points x 3 trials

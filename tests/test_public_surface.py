@@ -1,11 +1,11 @@
 """The public surface and the benchmark's view of the trial pipeline.
 
-The README's library quick start must run as written, and ``ristx.harness``
-must keep calling through the names that ``perfbench/tracing.py`` patches,
-so that a traced replay still sees every stage of a trial.  Every ristx
-module must use each name it imports and each private name it defines, and
-import no other module's private name; a field that a ``ConfigError`` names
-literally must exist.
+The README's library quick start must run as written, its package table
+must list every module, and ``ristx.harness`` must keep calling through the
+names that ``perfbench/tracing.py`` patches, so that a traced replay still
+sees every stage of a trial.  Every ristx module must use each name it
+imports and each private name it defines, and import no other module's
+private name; a field that a ``ConfigError`` names literally must exist.
 """
 
 import ast
@@ -42,6 +42,15 @@ def quick_start():
 def test_readme_quick_start_runs(capsys):
     exec(compile(quick_start(), "README.md quick start", "exec"), {})
     assert len(capsys.readouterr().out.splitlines()) == 2
+
+
+def test_readme_lists_every_module():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = readme.split("## Package layout", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^\| `ristx\.(\w+)`", table, re.M)
+    modules = [path.stem for path in (ROOT / "src" / "ristx").glob("*.py")
+               if path.stem != "__init__"]
+    assert sorted(listed) == sorted(modules)
 
 
 def test_package_exports_only_the_quick_start_names():
