@@ -15,8 +15,9 @@ import numpy as np
 def mf_precode_block(channel_matrix, symbol_block, target_powers):
     """Matched-filter transmit block with exact powers ||x(n)||^2 = target_powers[n].
 
-    Returns (x_block, c) where x_block[:, n] = c[n] * H^H @ s(n), c[n] >= 0.
-    A zero direction only passes when its target power is zero (the column
+    Returns (x_block, c) where x_block[:, n] = c[n] * H^H @ s(n), c[n] >= 0:
+    a fresh block of directions H^H @ s(n), scaled by c in place.  A zero
+    direction only passes when its target power is zero (the column
     is then zero).
     """
     directions = channel_matrix.conj().T @ symbol_block
@@ -25,7 +26,8 @@ def mf_precode_block(channel_matrix, symbol_block, target_powers):
     if np.any(degenerate & (target_powers > 0.0)):
         raise ValueError("H^H s vanishes; cannot meet target power")
     scale = np.sqrt(np.where(degenerate, 0.0, target_powers / np.where(degenerate, 1.0, norms_sq)))
-    return directions * scale[None, :], scale
+    directions *= scale[None, :]
+    return directions, scale
 
 
 def mf_post_gains(users, num_elements, mean_scale):

@@ -361,47 +361,55 @@ def run_trial(cfg, num_users, num_elements, b, trial_index, surface=None,
     Returns (rows, record): the ``TRIAL_COLUMNS`` row of each configured
     scheme, and a JSON-serializable trial record, whose ``results`` are those
     rows, when ``with_record`` is set (else None).  ``trial_index`` is read
-    as a whole number: ``2.0`` is 2, and ``1.5``, ``True`` or ``"1"`` is a
-    ``ValueError``.
+    as a whole number of at least 0: ``2.0`` is 2, and ``-1``, ``1.5``,
+    ``True`` or ``"1"`` is a ``ValueError``.
     An error propagates as the failing module raised it; a sweep labels it
     with the sweep point (see ``run_sweep``).  Side effect: the first trial
     in a process keeps freed heap and one BLAS thread (``_trial_process``).
     """
     _trial_process()
     try:
-        trial_index = _whole(trial_index)
+        index = _whole(trial_index)
+        if index < 0:
+            raise TypeError
     except TypeError:
-        raise ValueError(f"trial_index must be a whole number, got {trial_index!r}") from None
+        raise ValueError(
+            f"trial_index must be a whole number >= 0, got {trial_index!r}") from None
+    trial_index = index
     if surface is None:
         surface = build_surface(cfg, num_elements)
     trial_seed, users_rng, fading_rng, symbols_rng = derive_trial_streams(
         cfg.master_seed, num_users, num_elements, b, trial_index
     )
     users = draw_users(num_users, cfg, users_rng)
-    fading = draw_fading(num_users, num_elements, fading_rng)
-    channel = assemble_channel(users, fading)
+    channel = assemble_channel(users, draw_fading(num_users, num_elements, fading_rng))
     gains = compensating_gains(users)
     # Information symbols share the i.i.d. unit-variance complex normal recipe.
     symbols = draw_fading(num_users, cfg.num_intervals, symbols_rng)
 
-    eff = EffectiveMatrix.build(gains, channel, surface)
-    sol = solve_block(eff, symbols, PhaseCodebook(b))
-
+    # Each (M, N) block is dropped after its last use: the solution's w once
+    # x_rf is built, and x_rf once the radiated power is taken.
+    sol = solve_block(EffectiveMatrix.build(gains, channel, surface), symbols,
+                      PhaseCodebook(b))
     x_rf = transmit_block(surface, sol.w, sol.gains)
+    feed_gains, iterations, converged, negative_events = (
+        sol.gains, sol.iterations, sol.converged, sol.negative_gain_events)
+    del sol
     d_rf = distortion(symbols, gains, channel, x_rf)
-    p_out = average_power(sol.gains)
-    papr_rf = papr(sol.gains)
+    p_out = average_power(feed_gains)
+    papr_rf = papr(feed_gains)
     # the stages took only whole counts: write numpy integers as Python ints
     num_users, num_elements = int(num_users), int(num_elements)
     key = (num_users, num_elements, b_label(b), trial_index, trial_seed)
     rows = [
         trial_result(SCHEME_SINGLE_RF, key, d_rf, p_out, papr_rf,
-                     iterations_mean=np.mean(sol.iterations),
-                     converged_fraction=np.mean(sol.converged))
+                     iterations_mean=np.mean(iterations),
+                     converged_fraction=np.mean(converged))
     ]
 
     if SCHEME_MF in cfg.schemes:
         radiated = np.einsum("ij,ij->j", x_rf.conj(), x_rf).real
+        del x_rf
         x_mf, scales = mf_precode_block(channel, symbols, radiated)
         gains_mf = mf_post_gains(users, num_elements, float(np.mean(scales)))
         d_mf = distortion(symbols, gains_mf, channel, x_mf)
@@ -437,9 +445,9 @@ def run_trial(cfg, num_users, num_elements, b, trial_index, surface=None,
                 "omega": surface.phase.tolist(),
             },
             "solver": {
-                "iterations": sol.iterations.tolist(),
-                "converged": sol.converged.tolist(),
-                "negative_gain_events": sol.negative_gain_events.tolist(),
+                "iterations": iterations.tolist(),
+                "converged": converged.tolist(),
+                "negative_gain_events": negative_events.tolist(),
             },
             "results": rows,
         }
@@ -582,8 +590,13 @@ def _pin_blas_threads():
 
     A sweep's throughput comes from its worker processes; BLAS threads on
     top of them oversubscribe the cores, and a product's last bits depend
-    on how many threads split it.  Process-wide and not undone; does
-    nothing where ``/proc/self/maps`` shows no OpenBLAS with such a setter.
+    on how many threads split it.  Once its count is one, an OpenBLAS that
+    exports ``blas_thread_shutdown_`` also ends the threads of its thread
+    server, so that a pool forks a single-threaded process.  That is safe
+    while other threads run numpy: with a count of one no BLAS call uses
+    the server, and a caller that raises the count again starts it anew.
+    Process-wide and not undone; does nothing where ``/proc/self/maps``
+    shows no OpenBLAS with such a setter.
     """
     try:
         with open("/proc/self/maps", encoding="utf-8", errors="surrogateescape") as fh:
@@ -596,9 +609,11 @@ def _pin_blas_threads():
             lib = ctypes.CDLL(path)  # loaded already: this only finds it
         except OSError:
             continue
-        for name in _BLAS_THREAD_SETTERS:
-            if hasattr(lib, name):
-                getattr(lib, name)(1)
+        setters = [getattr(lib, name) for name in _BLAS_THREAD_SETTERS if hasattr(lib, name)]
+        for setter in setters:
+            setter(1)
+        if setters and hasattr(lib, "blas_thread_shutdown_"):
+            lib.blas_thread_shutdown_()
 
 
 @functools.cache

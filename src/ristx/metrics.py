@@ -19,8 +19,14 @@ def db10(value):
 
 
 def transmit_block(surface, w_block, gains):
-    """(M, N) block x(n) = gain(n) * diag(surface) @ w(n)."""
-    return surface.complex_coeffs[:, None] * w_block * gains[None, :]
+    """(M, N) block x(n) = gain(n) * diag(surface) @ w(n).
+
+    Returns a fresh block, scaled by the gains in place; ``w_block`` and
+    ``gains`` are left as they are.
+    """
+    x_block = surface.complex_coeffs[:, None] * w_block
+    x_block *= gains[None, :]
+    return x_block
 
 
 def distortion(symbols, post_gains, channel_matrix, x_block):

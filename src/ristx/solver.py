@@ -219,15 +219,14 @@ def _still_columns(delta, codebook):
     iterate unchanged: under a quantized codebook, those whose largest entry
     modulus is below ``_no_move_bound``.  Under the continuous codebook
     every step moves the iterate, and no column is still.  ``delta`` is a
-    2-D complex block with contiguous rows.
+    2-D complex block.
     """
     if codebook.bits is None:
         return np.zeros(delta.shape[1], dtype=bool)
-    # the squares of the interleaved real and imaginary parts, summed per
-    # entry: the same |delta|**2 as real*real + imag*imag, bit for bit
-    sq = np.square(delta.view(float))
-    peak = np.max(sq[:, 0::2] + sq[:, 1::2], axis=0)
-    return peak < _no_move_bound(codebook.bits) ** 2
+    # |delta|**2 as real*real + imag*imag, summed in a half-size buffer
+    sq = np.square(delta.real)
+    sq += np.square(delta.imag)
+    return np.max(sq, axis=0) < _no_move_bound(codebook.bits) ** 2
 
 
 def _guarded_step(gains, spectral_sq):
@@ -353,7 +352,16 @@ def solve_block(eff, symbols, codebook, max_iterations=None):
         delta *= steps
         moving = ~_still_columns(delta, codebook)
         change = np.zeros(active.size)
-        if np.any(moving):
+        if moving.all():
+            # no column is still: project in delta's own buffer, and take
+            # the difference there too, with no masked copies
+            delta += w_act
+            w_new = quantize_phases(delta, codebook)
+            change[:] = _column_norms_sq(np.subtract(w_new, w_act, out=delta))
+            if best_w is w and not np.array_equal(w_new, w_act):
+                best_w = w.copy()
+            w_act[...] = w_new
+        elif moving.any():
             w_old = w_act[:, moving]
             w_new = quantize_phases(w_old + delta[:, moving], codebook)
             change[moving] = _column_norms_sq(w_new - w_old)
@@ -381,7 +389,7 @@ def solve_block(eff, symbols, codebook, max_iterations=None):
         gains_fin, _, obj_fin = _gain_and_objective(eff, w, s_block)
         improved = obj_fin < best_obj
         best_obj[improved] = obj_fin[improved]
-        best_w[:, improved] = w[:, improved]
+        np.copyto(best_w, w, where=improved)
         best_gain[improved] = gains_fin[improved]
 
     return BlockSolution(best_w, best_gain, iterations, best_obj, converged,

@@ -60,6 +60,17 @@ class TestPrecode:
                                rtol=1e-12)
         assert np.all(scales > 0)
 
+    def test_inputs_left_alone(self):
+        # the directions are scaled in place, in a block of their own
+        rng = np.random.default_rng(4)
+        h = crandn(rng, 3, 7)
+        s = crandn(rng, 3, 9)
+        targets = rng.uniform(0.1, 4.0, 9)
+        before = [a.copy() for a in (h, s, targets)]
+        mf_precode_block(h, s, targets)
+        for got, want in zip((h, s, targets), before):
+            assert np.array_equal(got, want)
+
 
 class TestPostGains:
     def test_unit_case(self):

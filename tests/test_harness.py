@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -258,7 +259,10 @@ class TestRunTrial:
         pytest.param({"b": 0}, "^bits must be None or a whole number", id="b=0"),
         pytest.param({"b": 2.5}, "^bits must be None or a whole number", id="b=2.5"),
         pytest.param({"b": 17}, "^bits must be None or a whole number", id="b=17"),
-        pytest.param({"trial_index": -1}, "non-negative", id="trial_index=-1"),
+        pytest.param({"trial_index": -1}, "^trial_index must be a whole number >= 0, got -1$",
+                     id="trial_index=-1"),
+        pytest.param({"trial_index": -2.0}, "^trial_index must be a whole number",
+                     id="trial_index=-2.0"),
         pytest.param({"trial_index": 1.5}, "^trial_index must be a whole number",
                      id="trial_index=1.5"),
         pytest.param({"trial_index": True}, "^trial_index must be a whole number",
@@ -278,6 +282,25 @@ class TestRunTrial:
         with pytest.raises(ValueError, match=match):
             run_trial(cfg, **({"num_users": 2, "num_elements": 4, "b": 1, "trial_index": 5}
                               | args))
+
+    @pytest.mark.parametrize("b,schemes,blocks", [
+        (4, ("single_rf", "mf_digital"), 3.5),
+        (None, ("single_rf",), 4.5),
+    ], ids=["B=4-with-mf", "continuous"])
+    def test_peak_memory_in_blocks(self, b, schemes, blocks):
+        # each stage allocates the (M, N) blocks it needs once, and the
+        # trial drops each block after its last use
+        num_elements, num_intervals = 4096, 128
+        cfg = SimConfig(m_list=(num_elements,), b_list=(b,), k_list=(2,),
+                        num_intervals=num_intervals, schemes=schemes)
+        surface = build_surface(cfg, num_elements)
+        tracemalloc.start()
+        try:
+            run_trial(cfg, 2, num_elements, b, 0, surface)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= blocks * num_elements * num_intervals * 16
 
     def test_record_schema(self):
         cfg = tiny_config()
@@ -790,6 +813,51 @@ def test_sweep_runs_blas_on_one_thread(tmp_path, start_method):
     solves = [count for where, count in reports if where == "solve"]
     assert len(solves) == 2 and set(solves) == {"1"}, reports  # one per trial
     assert reports[-1] == ["sweep", "1"], reports
+
+
+# The process's OS thread count after _trial_process() and after BLAS work
+# that would start a thread server; "skip" where no loaded OpenBLAS exports
+# blas_thread_shutdown_.
+THREADS_SCRIPT = """
+import ctypes
+import numpy as np
+import ristx.harness
+
+
+def threads():
+    with open("/proc/self/status", encoding="utf-8") as fh:
+        return next(line.split()[1] for line in fh if line.startswith("Threads:"))
+
+
+with open("/proc/self/maps", encoding="utf-8") as fh:
+    paths = {line.split(maxsplit=5)[5].strip() for line in fh
+             if "openblas" in line.rpartition("/")[2].lower()}
+if not any(hasattr(ctypes.CDLL(path), "blas_thread_shutdown_") for path in paths):
+    print("skip")
+else:
+    ristx.harness._trial_process()
+    print(threads())
+    a = np.random.default_rng(0).standard_normal((600, 600))
+    np.linalg.qr(a @ a)
+    print(threads())
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="the script reads /proc/self/status")
+def test_trial_process_ends_the_blas_thread_server(tmp_path):
+    # a sweep forks its pool from a single-threaded process
+    script = tmp_path / "threads.py"
+    script.write_text(THREADS_SCRIPT)
+    src = str(Path(ristx.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OMP_NUM_THREADS"}
+    env.update(OPENBLAS_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join(filter(None, (src, env.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, str(script)], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    if out.stdout.split() == ["skip"]:
+        pytest.skip("the loaded OpenBLAS exports no blas_thread_shutdown_")
+    assert out.stdout.split() == ["1", "1"]
 
 
 LIBC_MAPS = ("7f00-7f01 r-xp 00000000 08:01 12 /usr/lib/libc.so.6\n"

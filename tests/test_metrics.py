@@ -146,3 +146,15 @@ class TestTransmitBlock:
             expected = gains[n] * coeffs * w[:, n]
             assert np.allclose(block[:, n], expected, rtol=1e-15)
         assert block.shape == (4, 3)
+
+    def test_inputs_left_alone(self):
+        # the gains scale a fresh product in place, never w_block itself
+        rng = np.random.default_rng(7)
+        surface = SurfaceModel(attenuation=rng.uniform(0.5, 1.5, 4),
+                               phase=rng.uniform(-np.pi, np.pi, 4))
+        w = crandn(rng, 4, 3)
+        gains = rng.uniform(0.5, 2.0, 3)
+        w_before, gains_before = w.copy(), gains.copy()
+        block = transmit_block(surface, w, gains)
+        assert not np.shares_memory(block, w)
+        assert np.array_equal(w, w_before) and np.array_equal(gains, gains_before)

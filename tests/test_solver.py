@@ -768,6 +768,33 @@ class TestBlockSolver:
                          "negative_gain_events"):
                 assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
+    @pytest.mark.parametrize("cb", [PhaseCodebook(1), PhaseCodebook(4), CONT])
+    def test_inputs_left_alone(self, cb, monkeypatch):
+        # a pass projects in its own step buffer, never in the caller's
+        # arrays: a C-contiguous complex block reaches the loop as it is
+        rng = np.random.default_rng(60)
+        problems = [(EffectiveMatrix.from_matrix(crandn(rng, 8, 8)), crandn(rng, 8, 2))
+                    for _ in range(6)]
+        still_columns = ristx.solver._still_columns
+        masks = []
+
+        def recording(delta, codebook):
+            masks.append(still_columns(delta, codebook))
+            return masks[-1]
+
+        monkeypatch.setattr(ristx.solver, "_still_columns", recording)
+        for eff, block in problems:
+            assert np.ascontiguousarray(block, dtype=complex) is block
+            before = [a.copy() for a in (eff.matrix, eff.pseudo_inverse, block)]
+            solve_block(eff, block, cb)
+            for got, want in zip((eff.matrix, eff.pseudo_inverse, block), before):
+                assert np.array_equal(got, want)
+        # passes in which every column moves, and masked ones for a quantized
+        # codebook
+        assert any(not np.any(mask) for mask in masks)
+        if cb.bits is not None:
+            assert any(np.any(mask) and not np.all(mask) for mask in masks)
+
     def test_row_count_validation(self):
         eff = EffectiveMatrix.from_matrix(np.eye(2, dtype=complex))
         with pytest.raises(ValueError):
