@@ -19,6 +19,7 @@ from .harness import (
     preset_config,
     run_sweep,
     run_trial,
+    sweep_points,
 )
 
 USAGE_EXIT = 2
@@ -36,19 +37,6 @@ def _load_config(path):
     return SimConfig.from_dict(data)
 
 
-def _int_at_least(minimum):
-    """An argparse type: a whole number no smaller than ``minimum``."""
-    def parse(text):
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
-        return value
-    return parse
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="ristx",
@@ -64,7 +52,7 @@ def _build_parser():
     sweep.add_argument("-o", "--output", required=True, help="output directory")
     sweep.add_argument("--seed", type=int, help="override the master seed")
     sweep.add_argument("--trials", type=int, help="override trials per point")
-    sweep.add_argument("--workers", type=_int_at_least(1), default=1,
+    sweep.add_argument("--workers", type=int, default=1,
                        help="worker processes (default 1), capped at the number "
                             "of sweep points with trials left")
     sweep.add_argument("--resume", action="store_true",
@@ -76,7 +64,7 @@ def _build_parser():
     trial.add_argument("-B", required=True,
                        help="phase bits, or 'continuous' / 'inf'")
     trial.add_argument("--seed", type=int, help="master seed (default: the SimConfig default)")
-    trial.add_argument("--trial-index", type=_int_at_least(0), default=0)
+    trial.add_argument("--trial-index", type=int, default=0)
     trial.add_argument("-N", "--intervals", type=int, default=None,
                        help="override block length N")
     trial.add_argument("--with-baseline", action="store_true",
@@ -136,8 +124,7 @@ def _cmd_trial(args):
 
 def _cmd_validate(args):
     cfg = _load_config(args.config)
-    points = len(cfg.m_list) * len(cfg.b_list) * len(cfg.k_list)
-    print(f"ok: {points} sweep points x {cfg.trials} trials, "
+    print(f"ok: {len(sweep_points(cfg))} sweep points x {cfg.trials} trials, "
           f"schemes={','.join(cfg.schemes)}")
     return 0
 

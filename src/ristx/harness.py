@@ -361,21 +361,15 @@ def run_trial(cfg, num_users, num_elements, b, trial_index, surface=None,
     Returns (rows, record): the ``TRIAL_COLUMNS`` row of each configured
     scheme, and a JSON-serializable trial record, whose ``results`` are those
     rows, when ``with_record`` is set (else None).  ``trial_index`` is read
-    as a whole number of at least 0: ``2.0`` is 2, and ``-1``, ``1.5``,
-    ``True`` or ``"1"`` is a ``ValueError``.
-    An error propagates as the failing module raised it; a sweep labels it
+    first, as ``run_sweep`` reads ``workers``: ``2.0`` is 2, and ``-1``, ``1.5``,
+    ``True`` or ``"1"`` raises a ``ConfigError`` naming ``trial_index``.  Any
+    other error propagates as the failing module raised it; a sweep labels it
     with the sweep point (see ``run_sweep``).  Side effect: the first trial
     in a process keeps freed heap and one BLAS thread (``_trial_process``).
     """
+    trial_index = _fit("trial_index", _whole, lambda v: v >= 0, "a whole number >= 0",
+                       trial_index)
     _trial_process()
-    try:
-        index = _whole(trial_index)
-        if index < 0:
-            raise TypeError
-    except TypeError:
-        raise ValueError(
-            f"trial_index must be a whole number >= 0, got {trial_index!r}") from None
-    trial_index = index
     if surface is None:
         surface = build_surface(cfg, num_elements)
     trial_seed, users_rng, fading_rng, symbols_rng = derive_trial_streams(
@@ -519,11 +513,24 @@ def _planned_keys(cfg, points):
                 yield (scheme, str(k), str(m), b_label(b), str(idx), seed)
 
 
+@functools.cache
+def _code():
+    """sha256 of this package's module sources: each file's name, a NUL
+    byte, then its bytes, in name order."""
+    import hashlib  # a slow import, which only a sweep needs
+
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
 def _resumed_rows(out, cfg, points):
     """The whole points of ``out``'s ``trials.csv`` that a resume keeps, once
     its rows prove a prefix of ``cfg``'s plan.  If one would be kept, or a
     ``manifest.json`` exists, that must echo ``cfg`` (the plan keys hold no
-    physics field); a missing or unreadable one does not.  Else ConfigError."""
+    physics field) and this package's ``_code()``; a missing or unreadable
+    one does not.  Else ConfigError."""
     path = out / TRIALS_CSV
     rows = _read_existing_rows(path) if path.exists() else []
     got = [tuple(row[c] for c in TRIAL_COLUMNS[:6]) for row in rows]
@@ -534,13 +541,14 @@ def _resumed_rows(out, cfg, points):
     manifest = out / MANIFEST_JSON
     if kept or manifest.exists():
         try:
-            echo = json.loads(manifest.read_text(encoding="utf-8"))["config"]
-            same = SimConfig.from_dict(echo) == cfg
+            echo = json.loads(manifest.read_text(encoding="utf-8"))
+            same = SimConfig.from_dict(echo["config"]) == cfg and echo["code"] == _code()
         except (OSError, ValueError, KeyError, TypeError):
             same = False
         if not same:
             raise ConfigError("resume", f"{manifest} is missing, unreadable or written "
-                              "under another config; use a fresh output directory")
+                              "under another config or by other ristx code; "
+                              "use a fresh output directory")
     return kept
 
 
@@ -690,6 +698,7 @@ def run_sweep(cfg, output_dir, workers=1, resume=False, preset=None):
         "config": cfg.to_dict(),
         "preset": preset,
         "package_version": __version__,
+        "code": _code(),
         "workers": workers,
         "resumed": bool(kept),
         "started_utc": _dt.datetime.fromtimestamp(

@@ -352,22 +352,20 @@ def solve_block(eff, symbols, codebook, max_iterations=None):
         delta *= steps
         moving = ~_still_columns(delta, codebook)
         change = np.zeros(active.size)
-        if moving.all():
-            # no column is still: project in delta's own buffer, and take
-            # the difference there too, with no masked copies
-            delta += w_act
+        if moving.any():
+            # one path projects the moving columns in delta's own buffer:
+            # views of delta and w_act when every column moves, else compact
+            # copies, and rebinding delta frees the full step.  w_old must not
+            # outlive the pass: a view keeps w_act alive past the compaction.
+            cols = slice(None) if moving.all() else moving
+            delta, w_old = delta[:, cols], w_act[:, cols]
+            delta += w_old
             w_new = quantize_phases(delta, codebook)
-            change[:] = _column_norms_sq(np.subtract(w_new, w_act, out=delta))
-            if best_w is w and not np.array_equal(w_new, w_act):
-                best_w = w.copy()
-            w_act[...] = w_new
-        elif moving.any():
-            w_old = w_act[:, moving]
-            w_new = quantize_phases(w_old + delta[:, moving], codebook)
-            change[moving] = _column_norms_sq(w_new - w_old)
+            change[cols] = _column_norms_sq(np.subtract(w_new, w_old, out=delta))
             if best_w is w and not np.array_equal(w_new, w_old):
                 best_w = w.copy()
-            w_act[:, moving] = w_new
+            w_act[:, cols] = w_new
+            del w_old
         if active.size != num_cols:
             w[:, active] = w_act
         iterations[active] = t

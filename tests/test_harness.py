@@ -259,15 +259,20 @@ class TestRunTrial:
         pytest.param({"b": 0}, "^bits must be None or a whole number", id="b=0"),
         pytest.param({"b": 2.5}, "^bits must be None or a whole number", id="b=2.5"),
         pytest.param({"b": 17}, "^bits must be None or a whole number", id="b=17"),
-        pytest.param({"trial_index": -1}, "^trial_index must be a whole number >= 0, got -1$",
+        pytest.param({"trial_index": -1},
+                     r"^config field 'trial_index': -1 is not a whole number >= 0$",
                      id="trial_index=-1"),
-        pytest.param({"trial_index": -2.0}, "^trial_index must be a whole number",
+        pytest.param({"trial_index": -2.0},
+                     r"^config field 'trial_index': -2\.0 is not a whole number >= 0$",
                      id="trial_index=-2.0"),
-        pytest.param({"trial_index": 1.5}, "^trial_index must be a whole number",
+        pytest.param({"trial_index": 1.5},
+                     r"^config field 'trial_index': 1\.5 is not a whole number >= 0$",
                      id="trial_index=1.5"),
-        pytest.param({"trial_index": True}, "^trial_index must be a whole number",
+        pytest.param({"trial_index": True},
+                     r"^config field 'trial_index': True is not a whole number >= 0$",
                      id="trial_index=True"),
-        pytest.param({"trial_index": "1"}, "^trial_index must be a whole number",
+        pytest.param({"trial_index": "1"},
+                     r"^config field 'trial_index': '1' is not a whole number >= 0$",
                      id="trial_index='1'"),
         # a 4-element surface with no element draws: the stages trust their
         # shapes, and the effective matrix's broadcast refuses them
@@ -475,25 +480,31 @@ class TestSweep:
 
     @pytest.mark.parametrize(
         "manifest,changes",
-        [("kept", {"r_max": 1500.0}), ("{", {}), ("missing", {}), ("directory", {})],
-        ids=["r_max", "unparsable", "missing", "unreadable"],
+        [("kept", {"r_max": 1500.0}), ("code", {}), ("{", {}), ("missing", {}),
+         ("directory", {})],
+        ids=["r_max", "code", "unparsable", "missing", "unreadable"],
     )
     def test_resume_rejects_another_config(self, tmp_path, manifest, changes):
         # the plan keys hold no physics field, so a cut dataset of another
-        # r_max passes the prefix check: only its manifest tells it apart;
-        # the cut keeps a whole point, so a missing or unreadable one refuses
+        # r_max, or of other code, passes the prefix check: only its manifest
+        # tells it apart; the cut keeps a whole point, so a missing or
+        # unreadable one refuses
         run_sweep(tiny_config(), tmp_path / "out")
         trials = tmp_path / "out" / TRIALS_CSV
         trials.write_text("\n".join(trials.read_text().split("\n")[:7]) + "\n")
         manifest_path = tmp_path / "out" / MANIFEST_JSON
-        if manifest != "kept":
+        if manifest == "code":
+            echo = json.loads(manifest_path.read_text())
+            manifest_path.write_text(json.dumps(echo | {"code": "0" * 64}))
+        elif manifest != "kept":
             manifest_path.unlink()
         if manifest == "directory":
             manifest_path.mkdir()
         elif manifest == "{":
             manifest_path.write_text(manifest)
         kept = trials.read_bytes()
-        with pytest.raises(ValueError, match="written under another config"):
+        with pytest.raises(ValueError,
+                           match="written under another config or by other ristx code"):
             run_sweep(tiny_config(**changes), tmp_path / "out", resume=True)
         assert trials.read_bytes() == kept
 
@@ -531,7 +542,7 @@ class TestSweep:
         run_sweep(tiny_config(), tmp_path / "out")
         assert durations == [None] * 4
         manifest = json.loads(manifest_path.read_text())
-        assert set(manifest) == {"config", "preset", "package_version", "workers",
+        assert set(manifest) == {"config", "preset", "package_version", "code", "workers",
                                  "resumed", "started_utc", "duration_seconds", "failures"}
         assert manifest["duration_seconds"] >= 0.0
 

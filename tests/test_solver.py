@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -794,6 +796,33 @@ class TestBlockSolver:
         assert any(not np.any(mask) for mask in masks)
         if cb.bits is not None:
             assert any(np.any(mask) and not np.all(mask) for mask in masks)
+
+    def test_masked_pass_frees_the_full_step_block(self, monkeypatch):
+        # a pass in which some columns are still projects compact copies of
+        # the moving ones, and drops the full (M, N) step block first
+        rng = np.random.default_rng(7)
+        num_users, num_elements, num_intervals = 128, 256, 128
+        mat = (rng.standard_normal((num_users, num_elements))
+               + 1j * rng.standard_normal((num_users, num_elements)))
+        block = (rng.standard_normal((num_users, num_intervals))
+                 + 1j * rng.standard_normal((num_users, num_intervals)))
+        eff = EffectiveMatrix.from_matrix(mat)
+        still_columns = ristx.solver._still_columns
+        masks = []
+
+        def recording(delta, codebook):
+            masks.append(still_columns(delta, codebook))
+            return masks[-1]
+
+        monkeypatch.setattr(ristx.solver, "_still_columns", recording)
+        tracemalloc.start()
+        try:
+            solve_block(eff, block, PhaseCodebook(4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(masks) == 1 and np.count_nonzero(masks[0]) == 37
+        assert peak <= 7.5 * num_elements * num_intervals * 16
 
     def test_row_count_validation(self):
         eff = EffectiveMatrix.from_matrix(np.eye(2, dtype=complex))
