@@ -27,10 +27,8 @@ def draw_users(num_users, cfg, rng):
     Distances follow the uniform-area density on the annulus [cfg.r_min,
     cfg.r_max] (pdf proportional to r), path gains fall off with exponent
     ``cfg.path_loss_exponent``, and shadowing is log-normal with zero dB mean
-    and ``cfg.shadow_std_db`` dB standard deviation.
+    and ``cfg.shadow_std_db`` dB standard deviation, for ``num_users`` >= 1.
     """
-    if num_users < 1:
-        raise ValueError("num_users must be positive")
     u = rng.random(num_users)
     distance = np.sqrt(cfg.r_min**2 + u * (cfg.r_max**2 - cfg.r_min**2))
     shadow_db = rng.normal(0.0, cfg.shadow_std_db, num_users)

@@ -104,8 +104,7 @@ def _cmd_trial(args):
     if not args.with_baseline:
         data["schemes"] = [SCHEME_SINGLE_RF]
     cfg = SimConfig.from_dict(data)
-    (b,) = cfg.b_list
-    rows, record = run_trial(cfg, args.K, args.M, b, args.trial_index,
+    rows, record = run_trial(cfg, args.K, args.M, args.B, args.trial_index,
                              with_record=args.json)
     if args.json:
         # the benchmark row's solver columns are NaN, which JSON cannot spell

@@ -32,14 +32,9 @@ def layout_elements(num_elements, wavelength, feed_distance):
     ``feed_distance``.  Elements are enumerated row-major, vertical index
     outer.  Returns ``(radius, theta)``, each of shape (M,): the element
     distances from the feed in meters and their elevations from the feed
-    zenith in radians.  Deterministic.
+    zenith in radians, for a perfect square ``num_elements``.  Deterministic.
     """
-    m = int(num_elements)
-    if m < 1 or m != num_elements:
-        raise ValueError("num_elements must be a positive integer")
-    side = math.isqrt(m)
-    if side * side != m:
-        raise ValueError(f"num_elements must be a perfect square, got {m}")
+    side = math.isqrt(num_elements)
 
     offsets = (np.arange(side) - (side - 1) / 2.0) * wavelength
     vert, horiz = np.meshgrid(offsets, offsets, indexing="ij")

@@ -360,13 +360,18 @@ def run_trial(cfg, num_users, num_elements, b, trial_index, surface=None,
 
     Returns (rows, record): the ``TRIAL_COLUMNS`` row of each configured
     scheme, and a JSON-serializable trial record, whose ``results`` are those
-    rows, when ``with_record`` is set (else None).  ``trial_index`` is read
-    first, as ``run_sweep`` reads ``workers``: ``2.0`` is 2, and ``-1``, ``1.5``,
-    ``True`` or ``"1"`` raises a ``ConfigError`` naming ``trial_index``.  Any
-    other error propagates as the failing module raised it; a sweep labels it
-    with the sweep point (see ``run_sweep``).  Side effect: the first trial
-    in a process keeps freed heap and one BLAS thread (``_trial_process``).
+    rows, when ``with_record`` is set (else None).  The point is read first,
+    as the config reads ``k_list``, ``m_list`` and ``b_list`` entries and a
+    whole ``trial_index`` >= 0: ``2.0`` is 2, ``"continuous"`` is None, and
+    anything else raises a ``ConfigError`` naming the argument.  The stages
+    trust the point, and ``surface`` to match it.  Any other error
+    propagates as the failing module raised it; a sweep labels it with the
+    sweep point (see ``run_sweep``).  Side effect: the first trial in a
+    process keeps freed heap and one BLAS thread (``_trial_process``).
     """
+    num_users = _fit("num_users", _whole, *_FIELDS["k_list"][1:], num_users)
+    num_elements = _fit("num_elements", _whole, *_FIELDS["m_list"][1:], num_elements)
+    b = _fit("b", _bits, *_FIELDS["b_list"][1:], b)
     trial_index = _fit("trial_index", _whole, lambda v: v >= 0, "a whole number >= 0",
                        trial_index)
     _trial_process()
@@ -392,8 +397,6 @@ def run_trial(cfg, num_users, num_elements, b, trial_index, surface=None,
     d_rf = distortion(symbols, gains, channel, x_rf)
     p_out = average_power(feed_gains)
     papr_rf = papr(feed_gains)
-    # the stages took only whole counts: write numpy integers as Python ints
-    num_users, num_elements = int(num_users), int(num_elements)
     key = (num_users, num_elements, b_label(b), trial_index, trial_seed)
     rows = [
         trial_result(SCHEME_SINGLE_RF, key, d_rf, p_out, papr_rf,
@@ -530,9 +533,12 @@ def _resumed_rows(out, cfg, points):
     its rows prove a prefix of ``cfg``'s plan.  If one would be kept, or a
     ``manifest.json`` exists, that must echo ``cfg`` (the plan keys hold no
     physics field) and this package's ``_code()``; a missing or unreadable
-    one does not.  Else ConfigError."""
+    one does not.  Else, or if ``trials.csv`` cannot be read, ConfigError."""
     path = out / TRIALS_CSV
-    rows = _read_existing_rows(path) if path.exists() else []
+    try:
+        rows = _read_existing_rows(path) if path.exists() else []
+    except OSError as e:
+        raise ConfigError("resume", f"{path} cannot be read: {e}") from e
     got = [tuple(row[c] for c in TRIAL_COLUMNS[:6]) for row in rows]
     if got != list(itertools.islice(_planned_keys(cfg, points), len(got))):
         raise ConfigError("resume", f"{path} is not a prefix of this sweep's plan; "

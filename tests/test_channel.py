@@ -8,7 +8,7 @@ from ristx.channel import (
     draw_fading,
     draw_users,
 )
-from ristx.harness import SimConfig
+from ristx.harness import ConfigError, SimConfig, run_trial
 
 
 def make_cell(**kw):
@@ -49,8 +49,10 @@ class TestDrawUsers:
         assert abs(np.std(db) - 5.0) < 0.15
 
     def test_zero_users_rejected(self):
-        with pytest.raises(ValueError):
-            draw_users(0, make_cell(), np.random.default_rng(0))
+        # draw_users trusts its count: run_trial refuses zero users first
+        with pytest.raises(ConfigError,
+                           match=r"^config field 'num_users': 0 is not a positive whole number$"):
+            run_trial(make_cell(), 0, 4, 1, 0)
 
     def test_deterministic_given_seed(self):
         a = draw_users(5, make_cell(), np.random.default_rng(42))

@@ -134,6 +134,12 @@ class TestValidateConfig:
             ({"k_list": [1e20]}, "k_list", "is too large: max(k_list) * max(max(m_list), "
              "num_intervals) exceeds 8388608 entries"),
             ({"k_list": [1000000000]}, "k_list", "is too large"),
+            ([1, 2], "<root>", "config must be a JSON object"),
+            ("fig2", "<root>", "config must be a JSON object"),
+            (None, "<root>", "config must be a JSON object"),
+            ({"schemes": [1]}, "schemes", "1 is not a scheme"),
+            ({"schemes": [None]}, "schemes", "None is not a scheme"),
+            ({"schemes": ["single_rf", True]}, "schemes", "True is not a scheme"),
         ],
         ids=["m_list-scalar", "b_list-scalar", "schemes-string", "b_list-fraction",
              "b_list-bool", "trials-fraction", "master_seed-bool", "m_list-bool",
@@ -149,7 +155,8 @@ class TestValidateConfig:
              "feed_power-1e-310", "r_max-below-r_min", "r_min-underflow",
              "schemes-no-single-rf", "zeta_db-3000", "k_list-twice", "k_list-empty",
              "num_intervals-block-cap", "num_intervals-1e20", "num_intervals-1e9",
-             "k_list-1e20", "k_list-1e9"],
+             "k_list-1e20", "k_list-1e9", "root-array", "root-string", "root-null",
+             "schemes-number", "schemes-null", "schemes-bool"],
     )
     def test_mistyped_list_field_named(self, tmp_path, capsys, data, field, message):
         path = write_config(tmp_path, data)
@@ -391,7 +398,9 @@ class TestSweep:
         ("encoding", "is not UTF-8 text"),
         ("no-manifest", "is missing, unreadable"),
         ("manifest-unreadable", "is missing, unreadable"),
-    ], ids=["manifest", "rows", "header", "encoding", "no-manifest", "manifest-unreadable"])
+        ("trials-unreadable", "trials.csv cannot be read: [Errno 21] Is a directory"),
+    ], ids=["manifest", "rows", "header", "encoding", "no-manifest", "manifest-unreadable",
+            "trials-unreadable"])
     def test_rejected_resume_exits_2(self, tmp_path, capsys, damage, message):
         path = write_config(tmp_path, tiny_config_dict())
         out = tmp_path / "out"
@@ -412,12 +421,16 @@ class TestSweep:
                 (out / MANIFEST_JSON).mkdir()
         if damage == "encoding":
             trials.write_bytes(b"\xff\xfe x\n")
+        elif damage == "trials-unreadable":
+            trials.unlink()
+            trials.mkdir()
         else:
             trials.write_text("\n".join([header, *rows[:keep]]) + "\n")
         capsys.readouterr()
         assert main(["sweep", path, "-o", str(out), "--resume"]) == 2
         err = capsys.readouterr().err
         assert "config field 'resume'" in err and message in err
+        assert trials.is_dir() == (damage == "trials-unreadable")  # refused, not rewritten
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         cfg = tiny_config_dict()

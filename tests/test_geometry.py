@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from ristx.geometry import layout_elements, propagation_coeffs, wrap_phase
+from ristx.harness import ConfigError, SimConfig, run_trial
 
 
 def wrap_oracle(x):
@@ -69,8 +71,11 @@ class TestLayout:
 
     @pytest.mark.parametrize("m", [2, 3, 5, 63, 0, -4])
     def test_non_square_or_bad_m(self, m):
-        with pytest.raises(ValueError):
-            layout_elements(m, 0.008, 1.0)
+        # layout_elements trusts its size: run_trial refuses such an M first
+        message = (f"config field 'num_elements': {m!r} "
+                   "is not a positive perfect square up to 65536")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            run_trial(SimConfig(), 2, m, 1, 0)
 
 
 class TestPatternGain:

@@ -220,6 +220,13 @@ class TestSeeding:
         assert cont == derive_trial_streams(1, 2, 4, 0, 0)[0]
 
 
+def refused(arg, value, description):
+    """A ``run_trial`` case whose ``arg`` is ``value``, and the full
+    ``ConfigError`` message that names it."""
+    message = f"config field '{arg}': {value!r} is not {description}"
+    return pytest.param({arg: value}, f"^{re.escape(message)}$", id=f"{arg}={value!r}")
+
+
 class TestRunTrial:
     def test_smoke_contract(self):
         cfg = tiny_config()
@@ -240,6 +247,10 @@ class TestRunTrial:
         assert rows[0]["trial_seed"] == derive_trial_streams(99, 2, 4, None, 1)[0]
         whole = trial_rows(cfg, 2, 4, None, 1.0)  # a whole float is that index
         assert whole == rows and type(whole[0]["trial_index"]) is int
+        # the point is read as the config reads k_list, m_list and b_list entries
+        spelled = trial_rows(cfg, 2.0, 4.0, "continuous", 1)
+        assert spelled == rows and spelled[0]["B"] == "inf"
+        assert type(spelled[0]["K"]) is int and type(spelled[0]["M"]) is int
 
     def test_scalar_chain_is_exact(self):
         # one element, one user, continuous phases: the tuner matches the
@@ -252,32 +263,15 @@ class TestRunTrial:
         assert rows[0]["D_linear"] <= 1e-12
 
     @pytest.mark.parametrize("args,match", [
-        pytest.param({"num_users": 0}, r"^num_users must be positive$", id="num_users=0"),
-        pytest.param({"num_elements": 0}, "must be a positive integer", id="num_elements=0"),
-        pytest.param({"num_elements": 3}, "must be a perfect square", id="num_elements=3"),
-        pytest.param({"num_elements": 4.5}, "must be a positive integer", id="num_elements=4.5"),
-        pytest.param({"b": 0}, "^bits must be None or a whole number", id="b=0"),
-        pytest.param({"b": 2.5}, "^bits must be None or a whole number", id="b=2.5"),
-        pytest.param({"b": 17}, "^bits must be None or a whole number", id="b=17"),
-        pytest.param({"trial_index": -1},
-                     r"^config field 'trial_index': -1 is not a whole number >= 0$",
-                     id="trial_index=-1"),
-        pytest.param({"trial_index": -2.0},
-                     r"^config field 'trial_index': -2\.0 is not a whole number >= 0$",
-                     id="trial_index=-2.0"),
-        pytest.param({"trial_index": 1.5},
-                     r"^config field 'trial_index': 1\.5 is not a whole number >= 0$",
-                     id="trial_index=1.5"),
-        pytest.param({"trial_index": True},
-                     r"^config field 'trial_index': True is not a whole number >= 0$",
-                     id="trial_index=True"),
-        pytest.param({"trial_index": "1"},
-                     r"^config field 'trial_index': '1' is not a whole number >= 0$",
-                     id="trial_index='1'"),
-        # a 4-element surface with no element draws: the stages trust their
+        *(refused("num_users", v, "a positive whole number") for v in (0, True)),
+        *(refused("num_elements", v, "a positive perfect square up to 65536")
+          for v in (0, 3, 4.5, 66049, True)),
+        *(refused("b", v, "a bit depth in 1..16 or 'continuous'") for v in (0, 2.5, 17)),
+        *(refused("trial_index", v, "a whole number >= 0") for v in (-1, -2.0, 1.5, True, "1")),
+        # a 4-element surface at a 9-element point: the stages trust their
         # shapes, and the effective matrix's broadcast refuses them
-        pytest.param({"num_elements": 0, "surface": 4}, "broadcast",
-                     id="num_elements=0,surface=4"),
+        pytest.param({"num_elements": 9, "surface": 4}, "broadcast",
+                     id="num_elements=9,surface=4"),
     ])
     def test_error_is_the_module_error(self, args, match):
         # the sweep point is named where the sweep collects the failure
@@ -446,6 +440,25 @@ class TestSweep:
             (partial_dir / MANIFEST_JSON).write_bytes(
                 (tmp_path / "full" / MANIFEST_JSON).read_bytes())
         run_sweep(cfg, partial_dir, workers=workers, resume=True)
+        assert (partial_dir / TRIALS_CSV).read_text() == full
+        assert (partial_dir / SUMMARY_CSV).read_bytes() == \
+            (tmp_path / "full" / SUMMARY_CSV).read_bytes()
+
+    def test_resume_stops_reading_at_a_malformed_line(self, tmp_path):
+        # a complete line short of a field ends the rows a resume reads: the
+        # two whole points before it are kept, and the rest runs again
+        cfg = tiny_config()
+        run_sweep(cfg, tmp_path / "full")
+        full = (tmp_path / "full" / TRIALS_CSV).read_text()
+        lines = full.strip().split("\n")
+        lines[15] = lines[15].rpartition(",")[0]
+        partial_dir = tmp_path / "partial"
+        partial_dir.mkdir()
+        (partial_dir / TRIALS_CSV).write_text("\n".join(lines[:20]) + "\n")
+        (partial_dir / MANIFEST_JSON).write_bytes(
+            (tmp_path / "full" / MANIFEST_JSON).read_bytes())
+        run_sweep(cfg, partial_dir, resume=True)
+        assert json.loads((partial_dir / MANIFEST_JSON).read_text())["resumed"]
         assert (partial_dir / TRIALS_CSV).read_text() == full
         assert (partial_dir / SUMMARY_CSV).read_bytes() == \
             (tmp_path / "full" / SUMMARY_CSV).read_bytes()
