@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import signal
 import sys
 from dataclasses import replace
@@ -47,8 +46,8 @@ def _build_parser():
     sweep = sub.add_parser("sweep", help="run a Monte-Carlo sweep")
     source = sweep.add_mutually_exclusive_group(required=True)
     source.add_argument("config", nargs="?", help="JSON config file")
-    source.add_argument("--preset", choices=PRESETS,
-                        help="built-in figure-reproduction sweep")
+    source.add_argument("--preset", help="built-in figure-reproduction sweep: "
+                                         + ", ".join(PRESETS))
     sweep.add_argument("-o", "--output", required=True, help="output directory")
     sweep.add_argument("--seed", type=int, help="override the master seed")
     sweep.add_argument("--trials", type=int, help="override trials per point")
@@ -82,15 +81,15 @@ def _interrupt(signum, frame):
 
 
 def _cmd_sweep(args):
-    cfg = preset_config(args.preset) if args.preset else _load_config(args.config)
+    cfg = (_load_config(args.config) if args.preset is None
+           else preset_config(args.preset))
     overrides = {"trials": args.trials, "master_seed": args.seed}
     cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
     # SIGTERM (a scheduler, `timeout`) stops the sweep as Ctrl-C does
     stops = (signal.SIGINT, signal.SIGTERM)
     previous = [signal.signal(sig, _interrupt) for sig in stops]
     try:
-        run_sweep(cfg, args.output, workers=args.workers, resume=args.resume,
-                  preset=args.preset)
+        run_sweep(cfg, args.output, workers=args.workers, resume=args.resume)
     finally:
         for sig, handler in zip(stops, previous):
             signal.signal(sig, handler)
@@ -107,12 +106,6 @@ def _cmd_trial(args):
     rows, record = run_trial(cfg, args.K, args.M, args.B, args.trial_index,
                              with_record=args.json)
     if args.json:
-        # the benchmark row's solver columns are NaN, which JSON cannot spell
-        record["results"] = [
-            {name: None if isinstance(v, float) and math.isnan(v) else v
-             for name, v in row.items()}
-            for row in rows
-        ]
         sys.stdout.write(json.dumps(record, indent=2, allow_nan=False) + "\n")
     else:
         sys.stdout.write(",".join(TRIAL_COLUMNS) + "\n")

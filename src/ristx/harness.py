@@ -25,7 +25,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
 from .baseline import mf_post_gains, mf_precode_block
 from .channel import assemble_channel, compensating_gains, draw_fading, draw_users
 from .geometry import propagation_coeffs
@@ -360,20 +359,30 @@ def run_trial(cfg, num_users, num_elements, b, trial_index, surface=None,
 
     Returns (rows, record): the ``TRIAL_COLUMNS`` row of each configured
     scheme, and a JSON-serializable trial record, whose ``results`` are those
-    rows, when ``with_record`` is set (else None).  The point is read first,
-    as the config reads ``k_list``, ``m_list`` and ``b_list`` entries and a
-    whole ``trial_index`` >= 0: ``2.0`` is 2, ``"continuous"`` is None, and
-    anything else raises a ``ConfigError`` naming the argument.  The stages
-    trust the point, and ``surface`` to match it.  Any other error
-    propagates as the failing module raised it; a sweep labels it with the
-    sweep point (see ``run_sweep``).  Side effect: the first trial in a
-    process keeps freed heap and one BLAS thread (``_trial_process``).
+    rows with each NaN as None, when ``with_record`` is set (else None).
+    The point is read first, as the config reads ``k_list``, ``m_list`` and
+    ``b_list`` entries and a whole ``trial_index`` >= 0: ``2.0`` is 2,
+    ``"continuous"`` is None, and anything else raises a ``ConfigError``
+    naming the argument.  So does a point with an array of more than
+    ``MAX_BLOCK_ENTRIES`` entries, the config's bound on its largest point:
+    ``num_elements`` if ``num_elements * num_intervals`` exceeds it, else
+    ``num_users``.  The stages trust the point, and ``surface`` to match it.
+    Any other error propagates as the failing module raised it; a sweep
+    labels it with the sweep point (see ``run_sweep``).  Side effect: the
+    first trial in a process keeps freed heap and one BLAS thread
+    (``_trial_process``).
     """
     num_users = _fit("num_users", _whole, *_FIELDS["k_list"][1:], num_users)
     num_elements = _fit("num_elements", _whole, *_FIELDS["m_list"][1:], num_elements)
     b = _fit("b", _bits, *_FIELDS["b_list"][1:], b)
     trial_index = _fit("trial_index", _whole, lambda v: v >= 0, "a whole number >= 0",
                        trial_index)
+    if num_elements * cfg.num_intervals > MAX_BLOCK_ENTRIES:
+        raise ConfigError("num_elements", "is too large: num_elements * num_intervals "
+                                          f"exceeds {MAX_BLOCK_ENTRIES} entries")
+    if num_users * max(num_elements, cfg.num_intervals) > MAX_BLOCK_ENTRIES:
+        raise ConfigError("num_users", "is too large: num_users * max(num_elements, "
+                                       f"num_intervals) exceeds {MAX_BLOCK_ENTRIES} entries")
     _trial_process()
     if surface is None:
         surface = build_surface(cfg, num_elements)
@@ -446,7 +455,8 @@ def run_trial(cfg, num_users, num_elements, b, trial_index, surface=None,
                 "converged": converged.tolist(),
                 "negative_gain_events": negative_events.tolist(),
             },
-            "results": rows,
+            "results": [{name: None if isinstance(v, float) and math.isnan(v) else v
+                         for name, v in row.items()} for row in rows],
         }
     return rows, record
 
@@ -659,12 +669,15 @@ def _ignore_stop_signals(sweep_pid):
                      daemon=True).start()
 
 
-def run_sweep(cfg, output_dir, workers=1, resume=False, preset=None):
+def run_sweep(cfg, output_dir, workers=1, resume=False):
     """Run the configured Cartesian sweep and write the dataset.
 
     Output: ``trials.csv`` (one row per trial per scheme, in plan order,
     flushed point by point, whatever the worker count), ``summary.csv``
-    (per-point aggregates) and ``manifest.json``.  Returns the summary rows.
+    (per-point aggregates) and ``manifest.json``, whose ``preset`` is the
+    first name in ``PRESETS`` whose ``preset_config`` at ``cfg``'s
+    ``trials`` and ``master_seed`` equals ``cfg``, else null.  Returns the
+    summary rows.
     With ``resume``, the whole points of an existing ``trials.csv`` are kept
     (see ``_resumed_rows``; a refusal names ``resume`` and writes nothing).
     The manifest is written once ``trials.csv`` holds only those rows, before
@@ -702,8 +715,8 @@ def run_sweep(cfg, output_dir, workers=1, resume=False, preset=None):
 
     manifest = {
         "config": cfg.to_dict(),
-        "preset": preset,
-        "package_version": __version__,
+        "preset": next((name for name in PRESETS
+                        if preset_config(name, cfg.trials, cfg.master_seed) == cfg), None),
         "code": _code(),
         "workers": workers,
         "resumed": bool(kept),
@@ -784,7 +797,8 @@ PRESETS = {
 def preset_config(name, trials=None, master_seed=None):
     """The three figure-reproduction sweeps."""
     if name not in PRESETS:
-        raise ConfigError("preset", f"unknown preset {name!r}")
+        raise ConfigError("preset", f"unknown preset {name!r}; "
+                                    f"the presets are {', '.join(PRESETS)}")
     overrides = {"trials": trials, "master_seed": master_seed}
     return SimConfig.from_dict(
         PRESETS[name] | {k: v for k, v in overrides.items() if v is not None}

@@ -316,6 +316,19 @@ class TestSweep:
         assert err.value.code == 2
         assert "not allowed with argument config" in capsys.readouterr().err
 
+    def test_manifest_names_the_preset(self, tmp_path, capsys, monkeypatch):
+        # by --preset, or by a config file equal to the preset's config
+        def stop(*args):
+            raise RuntimeError("stopped before the first trial")
+
+        monkeypatch.setattr(ristx.harness, "_point_rows", stop)
+        path = write_config(tmp_path, ristx.harness.preset_config("fig3").to_dict())
+        for source, name in ((["--preset", "fig4"], "fig4"), ([path], "fig3")):
+            out = tmp_path / name
+            assert main(["sweep", *source, "-o", str(out), "--trials", "2"]) == 1
+            assert json.loads((out / MANIFEST_JSON).read_text())["preset"] == name
+        assert capsys.readouterr().err.count("stopped before the first trial") == 2
+
     def test_whole_float_lists_sweep_like_ints(self, tmp_path):
         outputs = []
         for m, k in ((4, 2), (4.0, 2.0)):
@@ -512,12 +525,16 @@ class TestUsage:
              "error: config field 'workers': 0 is not a positive whole number\n"),
             (["sweep", "--preset", "fig4", "-o", "out", "--workers", "-3"],
              "error: config field 'workers': -3 is not a positive whole number\n"),
+            *((["sweep", "--preset", name, "-o", "out"],
+              f"error: config field 'preset': unknown preset {name!r}; "
+              "the presets are fig2, fig3, fig4\n") for name in ("fig9", "")),
         ],
-        ids=["trial-index-negative", "workers-zero", "workers-negative"],
+        ids=["trial-index-negative", "workers-zero", "workers-negative", "preset-unknown",
+             "preset-empty"],
     )
     def test_out_of_range_count_flag_exits_2(self, tmp_path, monkeypatch, capsys, argv,
                                              message):
-        # the library reads the count and names it, before any output exists
+        # the library reads the value and names it, before any output exists
         monkeypatch.chdir(tmp_path)
         assert main(argv) == 2
         assert capsys.readouterr().err == message

@@ -1,6 +1,8 @@
-"""Property test of the config boundary: every config either raises a
+"""Property tests of the config boundary: every config either raises a
 ``ConfigError`` naming one of its fields, or sweeps with no failed trial and
-a finite value in every ``trials.csv`` cell."""
+a finite value in every ``trials.csv`` cell; and every trial point either
+raises a ``ConfigError`` naming one of ``run_trial``'s point arguments, or
+runs to finite rows."""
 
 import csv
 import math
@@ -8,7 +10,14 @@ import tempfile
 
 from hypothesis import given, settings, strategies as st
 
-from ristx.harness import TRIAL_COLUMNS, TRIALS_CSV, ConfigError, SimConfig, run_sweep
+from ristx.harness import (
+    TRIAL_COLUMNS,
+    TRIALS_CSV,
+    ConfigError,
+    SimConfig,
+    run_sweep,
+    run_trial,
+)
 
 
 def log_uniform(low=1e-323, high=1e308):
@@ -57,8 +66,41 @@ def test_config_is_rejected_by_field_or_sweeps_finite(data):
         with open(f"{out}/{TRIALS_CSV}", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
     assert len(rows) == len(cfg.schemes)
+    assert_finite(rows)
+
+
+def assert_finite(rows):
     for row in rows:
         # the benchmark runs no solver: its solver columns are NaN by design
         values = TRIAL_COLUMNS if row["scheme"] == "single_rf" else TRIAL_COLUMNS[:-2]
         for name in values[6:]:
             assert math.isfinite(float(row[name])), (name, row)
+
+
+def point_value(valid, low, high):
+    """Three times in four one of ``valid``, else a value of any kind: a
+    number in [low, high], whole or not, a non-finite float, a bool, a
+    string or None."""
+    wild = (st.integers(low, high) | st.floats(low, high)
+            | st.sampled_from([math.nan, math.inf, True, False, None, "", "2", "x"]))
+    return st.integers(0, 3).flatmap(lambda i: wild if i == 0 else st.sampled_from(valid))
+
+
+POINT_CONFIG = SimConfig(m_list=(4,), k_list=(2,), b_list=(1,), num_intervals=4, trials=1)
+
+
+@settings(max_examples=300)
+@given(num_users=point_value([1, 2.0, 6], -1, 7),
+       num_elements=point_value([1, 4.0, 9, 16], -1, 17),
+       b=point_value([1, 2.0, "4", 16, None, "continuous", "inf"], -1, 17),
+       trial_index=point_value([0, 1.0, 3], -2, 3))
+def test_trial_point_is_rejected_by_argument_or_runs_finite(num_users, num_elements, b,
+                                                            trial_index):
+    # at sizes that fit, whatever the config's own lists hold
+    try:
+        rows, _ = run_trial(POINT_CONFIG, num_users, num_elements, b, trial_index)
+    except ConfigError as err:
+        assert err.field in ("num_users", "num_elements", "b", "trial_index")
+        return
+    assert [row["scheme"] for row in rows] == list(POINT_CONFIG.schemes)
+    assert_finite(rows)

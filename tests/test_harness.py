@@ -191,7 +191,8 @@ class TestConfig:
         assert fig3.schemes == ("single_rf",)
         fig4 = preset_config("fig4")
         assert len(sweep_points(fig4)) == 64
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^config field 'preset': unknown preset "
+                                              "'fig9'; the presets are fig2, fig3, fig4$"):
             preset_config("fig9")
 
     def test_preset_overrides(self):
@@ -282,6 +283,28 @@ class TestRunTrial:
             run_trial(cfg, **({"num_users": 2, "num_elements": 4, "b": 1, "trial_index": 5}
                               | args))
 
+    @pytest.mark.parametrize("num_users,num_elements,num_intervals,field", [
+        (129, 65536, 100, "num_users"),
+        (10**6, 64, 100, "num_users"),
+        (2, 65536, 200, "num_elements"),
+        (128, 65536, 100, None),  # 2**23 entries: at the bound
+        (2, 65536, 128, None),
+    ])
+    def test_point_arrays_are_bounded(self, monkeypatch, num_users, num_elements,
+                                      num_intervals, field):
+        # as the config bounds its largest point, before any stage runs
+        def first_stage():
+            raise RuntimeError("reached the first stage")
+
+        monkeypatch.setattr("ristx.harness._trial_process", first_stage)
+        cfg = SimConfig(num_intervals=num_intervals)
+        if field is None:
+            with pytest.raises(RuntimeError, match="first stage"):
+                run_trial(cfg, num_users, num_elements, 4, 0)
+        else:
+            with pytest.raises(ConfigError, match=f"^config field '{field}': is too large"):
+                run_trial(cfg, num_users, num_elements, 4, 0)
+
     @pytest.mark.parametrize("b,schemes,blocks", [
         (4, ("single_rf", "mf_digital"), 3.5),
         (None, ("single_rf",), 4.5),
@@ -312,12 +335,15 @@ class TestRunTrial:
         surf = record["surface"]
         assert surf["M"] == 4 and len(surf["T"]) == 4 and len(surf["omega"]) == 4
         assert len(record["solver"]["iterations"]) == cfg.num_intervals
-        json.dumps(record)  # must be serializable as-is
+        # strict JSON as it is: the MF row's NaN solver columns are null
+        json.dumps(record, allow_nan=False)
+        assert [r["scheme"] for r in record["results"]] == ["single_rf", "mf_digital"]
+        assert record["results"][1]["iterations_mean"] is None
         # numpy integer arguments give the same rows and a record that is JSON too
         cfg = SimConfig(master_seed=7)
         rows, record = run_trial(cfg, np.int64(2), np.int64(64), np.int64(4), np.int64(0),
                                  with_record=True)
-        json.dumps(record)
+        json.dumps(record, allow_nan=False)
         assert rows == run_trial(cfg, 2, 64, 4, 0)[0]
 
     def test_record_surface_echoes_config(self):
@@ -555,9 +581,26 @@ class TestSweep:
         run_sweep(tiny_config(), tmp_path / "out")
         assert durations == [None] * 4
         manifest = json.loads(manifest_path.read_text())
-        assert set(manifest) == {"config", "preset", "package_version", "code", "workers",
-                                 "resumed", "started_utc", "duration_seconds", "failures"}
+        assert manifest["preset"] is None
+        assert set(manifest) == {"config", "preset", "code", "workers", "resumed",
+                                 "started_utc", "duration_seconds", "failures"}
         assert manifest["duration_seconds"] >= 0.0
+
+    @pytest.mark.parametrize("name,changes", [
+        ("fig2", {}), ("fig3", {"master_seed": 8}), ("fig4", {"trials": 5}),
+        (None, {"r_max": 900.0}),
+    ])
+    def test_manifest_names_the_preset_its_config_equals(self, tmp_path, monkeypatch,
+                                                          name, changes):
+        # worked out from the config alone, at any trial count and seed
+        def stop(*args):
+            raise RuntimeError("stopped before the first trial")
+
+        monkeypatch.setattr("ristx.harness._point_rows", stop)
+        cfg = dataclasses.replace(preset_config(name or "fig2", trials=1), **changes)
+        with pytest.raises(RuntimeError, match="stopped"):
+            run_sweep(SimConfig.from_dict(cfg.to_dict()), tmp_path)
+        assert json.loads((tmp_path / MANIFEST_JSON).read_text())["preset"] == name
 
     def test_failed_trial_fails_the_sweep_after_writing(self, tmp_path, monkeypatch):
         cfg = tiny_config()

@@ -1,17 +1,20 @@
 """The public surface and the benchmark's view of the trial pipeline.
 
-The README's library quick start must run as written, its package table
-must list every module, and ``ristx.harness`` must keep calling through the
-names that ``perfbench/tracing.py`` patches, so that a traced replay still
-sees every stage of a trial.  Every ristx module must use each name it
-imports and each private name it defines, and import no other module's
-private name; a field that a ``ConfigError`` names literally must exist.
+The README's library quick start must run as written, its CLI examples
+must parse, its package table must list every module, and ``ristx.harness``
+must keep calling through the names that ``perfbench/tracing.py`` patches,
+so that a traced replay still sees every stage of a trial.  Every ristx
+module must use each name it imports and each private name it defines, and
+import no other module's private name; a field that a ``ConfigError`` or a
+``_fit`` call names literally must exist.
 """
 
 import ast
 import dataclasses
 import importlib.util
+import inspect
 import re
+import shlex
 import types
 from pathlib import Path
 
@@ -20,6 +23,7 @@ import numpy as np
 import ristx
 import ristx.harness
 import ristx.solver
+from ristx.cli import _build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -42,6 +46,25 @@ def quick_start():
 def test_readme_quick_start_runs(capsys):
     exec(compile(quick_start(), "README.md quick start", "exec"), {})
     assert len(capsys.readouterr().out.splitlines()) == 2
+
+
+def test_readme_cli_examples_parse():
+    # parsed only; a --preset name must also be one that preset_config knows
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## CLI", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    lines = [line for line in block.splitlines() if line and not line.startswith("#")]
+    assert lines and all(line.startswith("ristx ") for line in lines)
+    for line in lines:
+        args = _build_parser().parse_args(shlex.split(line)[1:])
+        if getattr(args, "preset", None) is not None:
+            ristx.harness.preset_config(args.preset)
+
+
+def test_version_matches_pyproject():
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    project = pyproject.split("[project]\n", 1)[1].split("\n[", 1)[0]
+    assert re.search(r'^version = "([^"]+)"$', project, re.M).group(1) == ristx.__version__
 
 
 def test_readme_lists_every_module():
@@ -115,14 +138,17 @@ def test_no_module_imports_another_modules_private_name():
 
 
 def test_every_config_error_names_a_field():
-    # a literal first argument must be a SimConfig field or a named non-field source
+    # a literal first argument must be a SimConfig field, an argument of
+    # run_trial or run_sweep, or a named non-field source
     fields = {f.name for f in dataclasses.fields(ristx.harness.SimConfig)}
-    allowed = fields | {"<root>", "<file>", "resume", "preset"}
+    arguments = {name for function in (ristx.harness.run_trial, ristx.harness.run_sweep)
+                 for name in inspect.signature(function).parameters}
+    allowed = fields | arguments | {"<root>", "<file>", "resume", "preset"}
     stray = []
     for path in sorted((ROOT / "src" / "ristx").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                    and node.func.id == "ConfigError" and node.args
+                    and node.func.id in ("ConfigError", "_fit") and node.args
                     and isinstance(node.args[0], ast.Constant)
                     and node.args[0].value not in allowed):
                 stray.append(f"{path.name}:{node.lineno} {node.args[0].value!r}")
