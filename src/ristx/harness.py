@@ -358,8 +358,10 @@ def run_trial(cfg, num_users, num_elements, b, trial_index, surface=None,
     """Run one channel realization end to end.
 
     Returns (rows, record): the ``TRIAL_COLUMNS`` row of each configured
-    scheme, and a JSON-serializable trial record, whose ``results`` are those
-    rows with each NaN as None, when ``with_record`` is set (else None).
+    scheme, and, if ``with_record`` (else None), a strict-JSON record of each
+    value once: ``config`` (``cfg.to_dict()``, which with a ``results`` row's
+    K, M, B and trial_index re-runs the trial), ``users``, ``surface`` (``T``
+    and ``omega``), ``solver`` and ``results``, the rows with NaN as None.
     The point is read first, as the config reads ``k_list``, ``m_list`` and
     ``b_list`` entries and a whole ``trial_index`` >= 0: ``2.0`` is 2,
     ``"continuous"`` is None, and anything else raises a ``ConfigError``
@@ -426,30 +428,12 @@ def run_trial(cfg, num_users, num_elements, b, trial_index, surface=None,
     record = None
     if with_record:
         record = {
-            "master_seed": cfg.master_seed,
-            "seed": trial_seed,
-            "K": num_users,
-            "M": num_elements,
-            "B": b_label(b),
-            "trial_index": trial_index,
-            "channel": {
-                "nu": cfg.path_loss_exponent,
-                "sigma_shadow_dB": cfg.shadow_std_db,
-                "r_h": cfg.r_min,
-                "r_max": cfg.r_max,
-                "users": [
-                    {"r_k": d, "alpha_k_dB": 10.0 * math.log10(s)}
-                    for d, s in zip(users.distance.tolist(), users.shadowing.tolist())
-                ],
-            },
-            "surface": {
-                "M": num_elements,
-                "lambda_m": cfg.wavelength,
-                "R_d_m": cfg.feed_distance_for(num_elements),
-                "zeta": 10.0 ** (cfg.zeta_db / 10.0),
-                "T": surface.attenuation.tolist(),
-                "omega": surface.phase.tolist(),
-            },
+            "config": cfg.to_dict(),
+            "users": [
+                {"r_k": d, "alpha_k_dB": 10.0 * math.log10(s)}
+                for d, s in zip(users.distance.tolist(), users.shadowing.tolist())
+            ],
+            "surface": {"T": surface.attenuation.tolist(), "omega": surface.phase.tolist()},
             "solver": {
                 "iterations": iterations.tolist(),
                 "converged": converged.tolist(),
@@ -499,7 +483,8 @@ def _point_rows(cfg, num_elements, b, num_users):
 
 
 def _read_existing_rows(path):
-    """Rows already flushed to an interrupted trials CSV (complete lines only)."""
+    """Rows already flushed to an interrupted trials CSV, up to the first
+    line that is torn or holds a value that ``summarize`` cannot read."""
     try:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as e:
@@ -512,7 +497,13 @@ def _read_existing_rows(path):
         parts = line.split(",")
         if len(parts) != len(TRIAL_COLUMNS):
             break
-        rows.append(dict(zip(TRIAL_COLUMNS, parts)))
+        row = dict(zip(TRIAL_COLUMNS, parts))
+        try:
+            for source, _ in _SUMMARY_STATS.values():
+                float(row[source])
+        except ValueError:
+            break
+        rows.append(row)
     return rows
 
 
@@ -684,11 +675,11 @@ def run_sweep(cfg, output_dir, workers=1, resume=False):
     the first trial, with ``duration_seconds`` null, and again at the end.
     Any exception that ends the sweep once the manifest is written, such as
     a failed trial (see ``_point_rows``), a pool worker that dies, an
-    ``OSError`` or a ``KeyboardInterrupt`` (also while the pool starts),
-    propagates once the manifest lists its message (or "interrupted") as
-    the one entry of ``failures``, with ``duration_seconds`` still null and
-    no ``summary.csv``.  Like any early stop, this leaves whole points of
-    the plan, which ``resume`` completes.
+    ``OSError`` or a ``KeyboardInterrupt`` (also while the pool starts or
+    the summary is written), propagates once the manifest lists its message
+    (or "interrupted") as the one entry of ``failures``, with
+    ``duration_seconds`` still null and no ``summary.csv``.  Like any early
+    stop, this leaves whole points of the plan, which ``resume`` completes.
 
     ``workers`` is read first, as the config reads a count: ``2.0`` is 2,
     and ``2.5``, ``True``, ``"2"`` or ``0`` raises a ``ConfigError`` naming
@@ -727,7 +718,8 @@ def run_sweep(cfg, output_dir, workers=1, resume=False):
         "failures": [],
     }
     manifest_path = out / MANIFEST_JSON
-    (out / SUMMARY_CSV).unlink(missing_ok=True)  # an early stop leaves none
+    summary_path = out / SUMMARY_CSV
+    summary_path.unlink(missing_ok=True)  # an early stop leaves none
     with open(trials_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(TRIAL_COLUMNS) + "\n")
         fh.writelines(format_row(row, TRIAL_COLUMNS) for row in kept)
@@ -746,16 +738,15 @@ def run_sweep(cfg, output_dir, workers=1, resume=False):
                 for rows in point_map(_point_rows, [cfg] * len(todo), *zip(*todo)):
                     fh.writelines(format_row(row, TRIAL_COLUMNS) for row in rows)
                     fh.flush()
+            summary = summarize(_read_existing_rows(trials_path), cfg)
+            with open(summary_path, "w", encoding="utf-8", newline="") as sfh:
+                sfh.write(",".join(SUMMARY_COLUMNS) + "\n")
+                sfh.writelines(format_row(row, SUMMARY_COLUMNS) for row in summary)
         except BaseException as e:
+            summary_path.unlink(missing_ok=True)
             manifest["failures"].append(str(e) or "interrupted")
             _write_json(manifest_path, manifest)
             raise
-
-    summary = summarize(_read_existing_rows(trials_path), cfg)
-    with open(out / SUMMARY_CSV, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(SUMMARY_COLUMNS) + "\n")
-        for row in summary:
-            fh.write(format_row(row, SUMMARY_COLUMNS))
 
     manifest["duration_seconds"] = time.time() - started
     _write_json(manifest_path, manifest)
@@ -796,7 +787,7 @@ PRESETS = {
 
 def preset_config(name, trials=None, master_seed=None):
     """The three figure-reproduction sweeps."""
-    if name not in PRESETS:
+    if not isinstance(name, str) or name not in PRESETS:
         raise ConfigError("preset", f"unknown preset {name!r}; "
                                     f"the presets are {', '.join(PRESETS)}")
     overrides = {"trials": trials, "master_seed": master_seed}

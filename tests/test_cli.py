@@ -216,8 +216,9 @@ class TestTrial:
                 "-N", "4", "--with-baseline"]
         assert main([*args, "--json"]) == 0
         record = json.loads(capsys.readouterr().out)
-        assert record["K"] == 2 and record["B"] == "1"
-        assert "surface" in record and "solver" in record
+        assert list(record) == ["config", "users", "surface", "solver", "results"]
+        assert record["config"] == SimConfig(
+            m_list=(4,), k_list=(2,), b_list=(1,), num_intervals=4, master_seed=3).to_dict()
         # the record's results are the rows the CSV output prints, with the
         # CSV's nan written as null
         assert main(args) == 0
@@ -227,6 +228,20 @@ class TestTrial:
                 for r in record["results"]]
         assert [format_row(r, TRIAL_COLUMNS) for r in rows] == lines
         assert [r["scheme"] for r in record["results"]] == ["single_rf", "mf_digital"]
+
+    def test_json_config_reruns_as_a_sweep(self, tmp_path, capsys):
+        # the record's config is a config file: it validates, and a one-trial
+        # sweep of it writes the bytes that `ristx trial` prints
+        args = ["trial", "-K", "4", "-M", "121", "-B", "continuous", "--seed", "9",
+                "-N", "16", "--with-baseline"]
+        assert main([*args, "--json"]) == 0
+        path = write_config(tmp_path, json.loads(capsys.readouterr().out)["config"])
+        assert main(args) == 0
+        printed = capsys.readouterr().out
+        assert main(["validate-config", path]) == 0
+        out = tmp_path / "out"
+        assert main(["sweep", path, "--trials", "1", "-o", str(out)]) == 0
+        assert (out / TRIALS_CSV).read_bytes() == printed.encode()
 
     def test_json_record_is_strict_json(self, capsys):
         def reject(constant):

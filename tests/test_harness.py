@@ -27,6 +27,7 @@ from ristx.harness import (
     b_label,
     build_surface,
     derive_trial_streams,
+    format_row,
     preset_config,
     run_sweep,
     run_trial,
@@ -191,9 +192,11 @@ class TestConfig:
         assert fig3.schemes == ("single_rf",)
         fig4 = preset_config("fig4")
         assert len(sweep_points(fig4)) == 64
-        with pytest.raises(ConfigError, match="^config field 'preset': unknown preset "
-                                              "'fig9'; the presets are fig2, fig3, fig4$"):
-            preset_config("fig9")
+        for name in ("fig9", ["fig2"], {"fig2": 1}):
+            message = (f"config field 'preset': unknown preset {name!r}; "
+                       "the presets are fig2, fig3, fig4")
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                preset_config(name)
 
     def test_preset_overrides(self):
         cfg = preset_config("fig2", trials=7, master_seed=3)
@@ -327,17 +330,17 @@ class TestRunTrial:
     def test_record_schema(self):
         cfg = tiny_config()
         _, record = run_trial(cfg, 2, 4, 4, 0, with_record=True)
-        assert record["K"] == 2 and record["M"] == 4 and record["B"] == "4"
-        assert record["channel"]["nu"] == cfg.path_loss_exponent
-        assert record["channel"]["r_h"] == cfg.r_min
-        assert len(record["channel"]["users"]) == 2
-        assert set(record["channel"]["users"][0]) == {"r_k", "alpha_k_dB"}
+        assert list(record) == ["config", "users", "surface", "solver", "results"]
+        assert record["config"] == cfg.to_dict()
+        assert len(record["users"]) == 2
+        assert set(record["users"][0]) == {"r_k", "alpha_k_dB"}
         surf = record["surface"]
-        assert surf["M"] == 4 and len(surf["T"]) == 4 and len(surf["omega"]) == 4
+        assert set(surf) == {"T", "omega"} and len(surf["T"]) == len(surf["omega"]) == 4
         assert len(record["solver"]["iterations"]) == cfg.num_intervals
         # strict JSON as it is: the MF row's NaN solver columns are null
         json.dumps(record, allow_nan=False)
         assert [r["scheme"] for r in record["results"]] == ["single_rf", "mf_digital"]
+        assert [r["K"] for r in record["results"]] == [2, 2]
         assert record["results"][1]["iterations_mean"] is None
         # numpy integer arguments give the same rows and a record that is JSON too
         cfg = SimConfig(master_seed=7)
@@ -347,17 +350,28 @@ class TestRunTrial:
         assert rows == run_trial(cfg, 2, 64, 4, 0)[0]
 
     def test_record_surface_echoes_config(self):
-        cfg = tiny_config(feed_distance=0.05, zeta_db=-3.0)
-        _, record = run_trial(cfg, 2, 4, 1, 0, with_record=True)
-        surface = build_surface(cfg, 4)
-        assert record["surface"] == {
-            "M": 4,
-            "lambda_m": cfg.wavelength,
-            "R_d_m": 0.05,
-            "zeta": 10 ** -0.3,
-            "T": surface.attenuation.tolist(),
-            "omega": surface.phase.tolist(),
-        }
+        # the record's config, with a results row's point, runs the same
+        # trial: the same rows and, after a JSON round trip, the same record
+        for cfg, point in [
+            (SimConfig(master_seed=7, zeta_db=-3.0, feed_beamwidth_deg=100.0,
+                       b_list=(None,)), (4, 64, "continuous", 3)),
+            (SimConfig(feed_distance=0.05, num_intervals=8), (32, 121, 4, 0)),
+            (SimConfig(master_seed=2**70, zeta_db=-0.5, num_intervals=7, b_list=("inf",),
+                       schemes=("single_rf",)), (2, 16, None, 1)),
+        ]:
+            rows, record = run_trial(cfg, *point, with_record=True)
+            record = json.loads(json.dumps(record, allow_nan=False))
+            rebuilt = SimConfig.from_dict(record["config"])
+            assert rebuilt == cfg
+            surface = build_surface(rebuilt, point[1])
+            assert record["surface"] == {"T": surface.attenuation.tolist(),
+                                         "omega": surface.phase.tolist()}
+            for row in record["results"]:
+                again, rerun = run_trial(rebuilt, row["K"], row["M"], row["B"],
+                                         row["trial_index"], with_record=True)
+                assert json.loads(json.dumps(rerun, allow_nan=False)) == record
+                assert [format_row(r, TRIAL_COLUMNS) for r in again] == \
+                    [format_row(r, TRIAL_COLUMNS) for r in rows]
 
     def test_surface_cache_equivalence(self):
         cfg = tiny_config()
@@ -471,23 +485,32 @@ class TestSweep:
             (tmp_path / "full" / SUMMARY_CSV).read_bytes()
 
     def test_resume_stops_reading_at_a_malformed_line(self, tmp_path):
-        # a complete line short of a field ends the rows a resume reads: the
-        # two whole points before it are kept, and the rest runs again
+        # a complete line short of a field, or one with a value that
+        # summarize cannot read, ends the rows a resume reads: the whole
+        # points before it are kept (two before line 15, none before line 1),
+        # and the rest runs again
         cfg = tiny_config()
         run_sweep(cfg, tmp_path / "full")
         full = (tmp_path / "full" / TRIALS_CSV).read_text()
-        lines = full.strip().split("\n")
-        lines[15] = lines[15].rpartition(",")[0]
-        partial_dir = tmp_path / "partial"
-        partial_dir.mkdir()
-        (partial_dir / TRIALS_CSV).write_text("\n".join(lines[:20]) + "\n")
-        (partial_dir / MANIFEST_JSON).write_bytes(
-            (tmp_path / "full" / MANIFEST_JSON).read_bytes())
-        run_sweep(cfg, partial_dir, resume=True)
-        assert json.loads((partial_dir / MANIFEST_JSON).read_text())["resumed"]
-        assert (partial_dir / TRIALS_CSV).read_text() == full
-        assert (partial_dir / SUMMARY_CSV).read_bytes() == \
-            (tmp_path / "full" / SUMMARY_CSV).read_bytes()
+        d_db = TRIAL_COLUMNS.index("D_dB")
+        for case, (line, malform) in enumerate([
+            (15, lambda parts: parts[:-1]),
+            (15, lambda parts: parts[:d_db] + ["x"] + parts[d_db + 1:]),
+            (1, lambda parts: parts[:d_db] + ["x"] + parts[d_db + 1:]),
+        ]):
+            lines = full.strip().split("\n")
+            lines[line] = ",".join(malform(lines[line].split(",")))
+            partial_dir = tmp_path / f"partial{case}"
+            partial_dir.mkdir()
+            (partial_dir / TRIALS_CSV).write_text("\n".join(lines[:20]) + "\n")
+            (partial_dir / MANIFEST_JSON).write_bytes(
+                (tmp_path / "full" / MANIFEST_JSON).read_bytes())
+            run_sweep(cfg, partial_dir, resume=True)
+            manifest = json.loads((partial_dir / MANIFEST_JSON).read_text())
+            assert manifest["resumed"] is (line > 1)
+            assert (partial_dir / TRIALS_CSV).read_text() == full
+            assert (partial_dir / SUMMARY_CSV).read_bytes() == \
+                (tmp_path / "full" / SUMMARY_CSV).read_bytes()
 
     def test_resume_with_schemes_listed_out_of_order(self, tmp_path):
         cfg = tiny_config(schemes=("mf_digital", "single_rf"))
@@ -690,26 +713,29 @@ class TestSweep:
         cfg = tiny_config()  # 4 points x 3 trials x 2 schemes
         run_sweep(cfg, tmp_path / "full")
         format_row = ristx.harness.format_row
-        written = []
+        # the disk fills once the first point is written, or once all 24
+        # trial rows are, while the summary is written after its header
+        for full_at in (cfg.trials * len(cfg.schemes), 24):
+            written = []
 
-        def full_disk(row, columns):  # the disk fills once the first point is written
-            if len(written) == cfg.trials * len(cfg.schemes):
-                raise OSError(28, "No space left on device")
-            written.append(row)
-            return format_row(row, columns)
+            def full_disk(row, columns):
+                if len(written) == full_at:
+                    raise OSError(28, "No space left on device")
+                written.append(row)
+                return format_row(row, columns)
 
-        out = tmp_path / "out"
-        with monkeypatch.context() as patch:
-            patch.setattr("ristx.harness.format_row", full_disk)
-            with pytest.raises(OSError, match="No space left on device"):
-                run_sweep(cfg, out)
-        manifest = json.loads((out / MANIFEST_JSON).read_text())
-        assert manifest["failures"] == ["[Errno 28] No space left on device"]
-        assert manifest["duration_seconds"] is None
-        assert not (out / SUMMARY_CSV).exists()
-        run_sweep(cfg, out, resume=True)
-        for name in (TRIALS_CSV, SUMMARY_CSV):
-            assert (out / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+            out = tmp_path / f"out{full_at}"
+            with monkeypatch.context() as patch:
+                patch.setattr("ristx.harness.format_row", full_disk)
+                with pytest.raises(OSError, match="No space left on device"):
+                    run_sweep(cfg, out)
+            manifest = json.loads((out / MANIFEST_JSON).read_text())
+            assert manifest["failures"] == ["[Errno 28] No space left on device"]
+            assert manifest["duration_seconds"] is None
+            assert not (out / SUMMARY_CSV).exists()  # not even its header
+            run_sweep(cfg, out, resume=True)
+            for name in (TRIALS_CSV, SUMMARY_CSV):
+                assert (out / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
 
     def test_failed_point_cancels_the_points_not_started(self, tmp_path, monkeypatch):
         cfg = tiny_config(k_list=tuple(range(2, 10)))  # 16 points x 3 trials

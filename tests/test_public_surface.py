@@ -1,7 +1,8 @@
 """The public surface and the benchmark's view of the trial pipeline.
 
 The README's library quick start must run as written, its CLI examples
-must parse, its package table must list every module, and ``ristx.harness``
+must parse, its CLI section must name the keys of a trial record, its
+package table must list every module, and ``ristx.harness``
 must keep calling through the names that ``perfbench/tracing.py`` patches,
 so that a traced replay still sees every stage of a trial.  Every ristx
 module must use each name it imports and each private name it defines, and
@@ -59,6 +60,15 @@ def test_readme_cli_examples_parse():
         args = _build_parser().parse_args(shlex.split(line)[1:])
         if getattr(args, "preset", None) is not None:
             ristx.harness.preset_config(args.preset)
+
+
+def test_readme_names_the_trial_record_keys():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    keys = re.search(r"A `--json` record has the keys (.*?):", readme, re.S).group(1)
+    cfg = ristx.harness.SimConfig(m_list=(4,), k_list=(2,), b_list=(1,), num_intervals=4)
+    record = ristx.harness.run_trial(cfg, 2, 4, 1, 0, with_record=True)[1]
+    assert [r["scheme"] for r in record["results"]] == ["single_rf", "mf_digital"]
+    assert re.findall(r"`(\w+)`", keys) == list(record)
 
 
 def test_version_matches_pyproject():
