@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+R_MIN = 100.0  # meters: the cell's inner radius and the path-loss reference
+
 
 @dataclass(frozen=True)
 class Users:
@@ -18,25 +20,27 @@ class Users:
 
     distance: np.ndarray   # (K,) meters
     shadowing: np.ndarray  # (K,) linear-scale log-normal draws, > 0
-    path_gain: np.ndarray  # (K,) shadowing / (distance / r_min)**exponent
+    path_gain: np.ndarray  # (K,) shadowing / (distance / R_MIN)**exponent
 
 
 def draw_users(num_users, cfg, rng):
     """Draw user positions and shadowing for one channel realization.
 
-    Distances follow the uniform-area density on the annulus [cfg.r_min,
+    Distances follow the uniform-area density on the annulus [R_MIN,
     cfg.r_max] (pdf proportional to r), path gains fall off with exponent
     ``cfg.path_loss_exponent``, and shadowing is log-normal with zero dB mean
     and ``cfg.shadow_std_db`` dB standard deviation, for ``num_users`` >= 1.
+    ``R_MIN`` is a unit, not a parameter: the draw depends on it only
+    through ``cfg.r_max / R_MIN``.
     """
     u = rng.random(num_users)
-    distance = np.sqrt(cfg.r_min**2 + u * (cfg.r_max**2 - cfg.r_min**2))
+    distance = np.sqrt(R_MIN**2 + u * (cfg.r_max**2 - R_MIN**2))
     shadow_db = rng.normal(0.0, cfg.shadow_std_db, num_users)
     shadowing = 10.0 ** (shadow_db / 10.0)
     # Python's float power, one user at a time: numpy's vectorised ``**``
     # may round the last bit differently, which would change the datasets.
     path_gain = np.array([
-        s / (d / cfg.r_min) ** cfg.path_loss_exponent
+        s / (d / R_MIN) ** cfg.path_loss_exponent
         for d, s in zip(distance.tolist(), shadowing.tolist())
     ])
     return Users(distance, shadowing, path_gain)

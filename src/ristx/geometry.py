@@ -3,7 +3,9 @@
 The feed sits at the origin with its zenith along +z; boresight points along
 +x toward the surface center, so broadside illumination corresponds to an
 elevation angle of pi/2.  The surface is a vertical sqrt(M) x sqrt(M) grid of
-pitch ``wavelength`` (element cells tile a sqrt(M)*lambda square).
+pitch ``WAVELENGTH`` (element cells tile a sqrt(M)*lambda square).  The
+wavelength is a unit, not a parameter: outputs depend on it only through
+``feed_distance / WAVELENGTH``.
 
 The feed pattern is an ideal sector: constant gain inside an elevation band
 of full width ``beamwidth`` around broadside, the same at every azimuth, and
@@ -19,14 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+WAVELENGTH = 0.008  # meters: the element pitch
+
 
 def wrap_phase(x):
     """Wrap angles to [-pi, pi)."""
     return np.mod(np.asarray(x, dtype=float) + np.pi, 2.0 * np.pi) - np.pi
 
 
-def layout_elements(num_elements, wavelength, feed_distance):
-    """Lay out a sqrt(M) x sqrt(M) grid of pitch ``wavelength``.
+def layout_elements(num_elements, feed_distance):
+    """Lay out a sqrt(M) x sqrt(M) grid of pitch ``WAVELENGTH``.
 
     The grid is centered on the boresight axis through the feed at distance
     ``feed_distance``.  Elements are enumerated row-major, vertical index
@@ -36,7 +40,7 @@ def layout_elements(num_elements, wavelength, feed_distance):
     """
     side = math.isqrt(num_elements)
 
-    offsets = (np.arange(side) - (side - 1) / 2.0) * wavelength
+    offsets = (np.arange(side) - (side - 1) / 2.0) * WAVELENGTH
     vert, horiz = np.meshgrid(offsets, offsets, indexing="ij")
     vert = vert.ravel()
     horiz = horiz.ravel()
@@ -65,16 +69,16 @@ class SurfaceModel:
         return coeffs
 
 
-def propagation_coeffs(num_elements, wavelength, feed_distance, beamwidth, efficiency):
+def propagation_coeffs(num_elements, feed_distance, beamwidth, efficiency):
     """Attenuation and propagation phase of every element of the surface
     laid out by ``layout_elements`` under the ideal-sector feed.
 
-    Amplitude: wavelength * sqrt(efficiency * gain) / (4*pi*r) with the
-    in-band gain 1 / sin(beamwidth / 2); phase: -2*pi*r/wavelength wrapped
+    Amplitude: WAVELENGTH * sqrt(efficiency * gain) / (4*pi*r) with the
+    in-band gain 1 / sin(beamwidth / 2); phase: -2*pi*r/WAVELENGTH wrapped
     to [-pi, pi).  ``beamwidth`` is the full elevation beamwidth in radians,
     in (0, pi].  Raises ValueError if any element lies outside the beam.
     """
-    radius, theta = layout_elements(num_elements, wavelength, feed_distance)
+    radius, theta = layout_elements(num_elements, feed_distance)
     outside = np.abs(theta - np.pi / 2.0) > beamwidth / 2.0
     if np.any(outside):
         bad = int(np.argmax(outside))
@@ -83,6 +87,6 @@ def propagation_coeffs(num_elements, wavelength, feed_distance, beamwidth, effic
             f"(theta={theta[bad]:.4f} rad)"
         )
     gain = 1.0 / math.sin(beamwidth / 2.0)
-    attenuation = wavelength * np.sqrt(efficiency * gain) / (4.0 * np.pi * radius)
-    phase = wrap_phase(-2.0 * np.pi * radius / wavelength)
+    attenuation = WAVELENGTH * np.sqrt(efficiency * gain) / (4.0 * np.pi * radius)
+    phase = wrap_phase(-2.0 * np.pi * radius / WAVELENGTH)
     return SurfaceModel(attenuation, phase)

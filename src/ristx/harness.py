@@ -26,8 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from .baseline import mf_post_gains, mf_precode_block
-from .channel import assemble_channel, compensating_gains, draw_fading, draw_users
-from .geometry import propagation_coeffs
+from .channel import R_MIN, assemble_channel, compensating_gains, draw_fading, draw_users
+from .geometry import WAVELENGTH, propagation_coeffs
 from .metrics import average_power, db10, distortion, papr, transmit_block
 from .solver import (
     MAX_CODEBOOK_BITS,
@@ -95,9 +95,8 @@ class ConfigError(ValueError):
 class SimConfig:
     """Full experiment configuration; defaults match the reference setup."""
 
-    wavelength: float = 0.008            # meters
     m_list: tuple = (64, 121, 225)
-    feed_distance: float | None = None   # None -> wavelength * sqrt(M / pi)
+    feed_distance: float | None = None   # meters; None -> WAVELENGTH * sqrt(M / pi)
     zeta_db: float = 0.0                 # element power efficiency, dB
     feed_beamwidth_deg: float = 120.0
     b_list: tuple = (1, 2, 4, None)      # None = continuous phases
@@ -105,8 +104,7 @@ class SimConfig:
     num_intervals: int = 100
     path_loss_exponent: float = 3.2
     shadow_std_db: float = 5.0
-    r_min: float = 100.0                 # meters
-    r_max: float = 1000.0                # meters
+    r_max: float = 1000.0                # meters, above channel.R_MIN
     trials: int = 200
     master_seed: int = 12345
     schemes: tuple = SCHEMES
@@ -158,7 +156,7 @@ class SimConfig:
     def feed_distance_for(self, num_elements):
         if self.feed_distance is not None:
             return self.feed_distance
-        return self.wavelength * math.sqrt(num_elements / math.pi)
+        return WAVELENGTH * math.sqrt(num_elements / math.pi)
 
 
 # Field kinds: each returns the value in canonical form or raises TypeError.
@@ -211,7 +209,6 @@ def _fit(name, kind, ok, description, value):
 # written [item kind]; its constraint and description apply to every entry.
 # A null value is allowed exactly where the default is None.
 _FIELDS = {
-    "wavelength": (_real, lambda v: v > 0, "a positive real"),
     "m_list": ([_whole], lambda m: 1 <= m <= MAX_ELEMENTS and math.isqrt(m) ** 2 == m,
                f"a positive perfect square up to {MAX_ELEMENTS}"),
     "feed_distance": (_real, lambda v: v > 0, "a positive real or null"),
@@ -224,7 +221,6 @@ _FIELDS = {
     "num_intervals": (_whole, lambda v: v > 0, "a positive whole number"),
     "path_loss_exponent": (_real, lambda v: v > 0, "a positive real"),
     "shadow_std_db": (_real, lambda v: v >= 0, "a nonnegative real"),
-    "r_min": (_real, lambda v: v > 0, "a positive real"),
     "r_max": (_real, lambda v: v > 0, "a positive real"),
     "trials": (_whole, lambda v: v > 0, "a positive whole number"),
     "master_seed": (_whole, lambda v: v >= 0, "a nonnegative whole number"),
@@ -247,7 +243,7 @@ def _check_rules(cfg):
 
     User distances are drawn through ``r_max**2``, and the receive gains
     divide by the root of the path gain, whose weakest value, ``(r_max /
-    r_min)**-path_loss_exponent`` at ``-_SHADOW_SIGMAS`` standard deviations
+    R_MIN)**-path_loss_exponent`` at ``-_SHADOW_SIGMAS`` standard deviations
     of shadowing, must stay above the floor of ``_SCALE_RANGE``.
 
     Every trial at a surface size fails if the feed beam misses an element
@@ -256,18 +252,16 @@ def _check_rules(cfg):
     and its spectral norm, and the squared feed gain reaches
     1 / (eps * scale) before the solver's zero-norm guard stops it; the
     headroom of 2**64 covers both (1 / eps is 2**52) with room for the
-    fading and symbol draws.  The blame goes to the geometry's
-    ``attenuation**2`` at unit efficiency first, then to ``zeta_db``.  The
-    geometry is ``feed_distance`` when its square leaves the float range,
-    else ``wavelength``: the element pitch, and the feed distance too when
-    that is null.  Last, no trial array may exceed ``MAX_BLOCK_ENTRIES``."""
-    if cfg.r_max <= cfg.r_min:
-        raise ConfigError("r_max", "must exceed r_min")
+    fading and symbol draws.  The blame goes first to ``feed_distance``, for
+    ``attenuation**2`` at unit efficiency, then to ``zeta_db``.  Last, no
+    trial array may exceed ``MAX_BLOCK_ENTRIES``."""
+    if cfg.r_max <= R_MIN:
+        raise ConfigError("r_max", f"must exceed r_min, the inner radius of {R_MIN} m")
     if cfg.shadow_std_db > MAX_SHADOW_STD_DB:
         raise ConfigError("shadow_std_db", f"must be at most {MAX_SHADOW_STD_DB} dB")
     try:
         weakest = (10.0 ** (-_SHADOW_SIGMAS * cfg.shadow_std_db / 10.0)
-                   / (cfg.r_max / cfg.r_min) ** cfg.path_loss_exponent)
+                   / (cfg.r_max / R_MIN) ** cfg.path_loss_exponent)
         fits = math.isfinite(cfg.r_max**2) and weakest >= _SCALE_RANGE[0]
     except OverflowError:
         fits = False
@@ -275,19 +269,15 @@ def _check_rules(cfg):
         raise ConfigError("r_max", (
             "is too large: r_max**2 overflows, or (r_max / r_min)**path_loss_exponent "
             f"at {_SHADOW_SIGMAS} sigma of shadowing leaves the float range"))
-    if cfg.r_min**2 < sys.float_info.min:
-        raise ConfigError("r_min", "is too small: r_min**2 underflows")
     if SCHEME_SINGLE_RF not in cfg.schemes:
         raise ConfigError("schemes", "the single-RF scheme is required "
                                      "(the benchmark power-matches against it)")
-    fd = cfg.feed_distance
-    geometry = "wavelength" if fd is None or 0 < fd * fd < math.inf else "feed_distance"
     efficiency = 10.0 ** (cfg.zeta_db / 10.0)
     for m in cfg.m_list:
         try:
             with np.errstate(all="ignore"):
                 attenuation = propagation_coeffs(
-                    m, cfg.wavelength, cfg.feed_distance_for(m),
+                    m, cfg.feed_distance_for(m),
                     math.radians(cfg.feed_beamwidth_deg), 1.0).attenuation
         except ValueError as e:  # an element outside the feed beam
             raise ConfigError("feed_beamwidth_deg",
@@ -296,7 +286,7 @@ def _check_rules(cfg):
             attenuation = np.inf
         with np.errstate(all="ignore"):
             scale = attenuation**2
-            for name, value in ((geometry, scale), ("zeta_db", scale * efficiency)):
+            for name, value in (("feed_distance", scale), ("zeta_db", scale * efficiency)):
                 if not np.all((value >= _SCALE_RANGE[0]) & (value <= _SCALE_RANGE[1])):
                     raise ConfigError(name, f"puts the M={m} surface outside the float range")
     m_max = max(cfg.m_list)
@@ -315,7 +305,7 @@ def b_label(b):
 def build_surface(cfg, num_elements):
     """Surface model for one size under the configured feed geometry."""
     return propagation_coeffs(
-        num_elements, cfg.wavelength, cfg.feed_distance_for(num_elements),
+        num_elements, cfg.feed_distance_for(num_elements),
         math.radians(cfg.feed_beamwidth_deg), 10.0 ** (cfg.zeta_db / 10.0),
     )
 

@@ -3,6 +3,7 @@ import pytest
 
 from helpers import users
 from ristx.channel import (
+    R_MIN,
     assemble_channel,
     compensating_gains,
     draw_fading,
@@ -12,8 +13,8 @@ from ristx.harness import ConfigError, SimConfig, run_trial
 
 
 def make_cell(**kw):
-    # a config that sets the four fields draw_users reads
-    base = dict(r_min=100.0, r_max=1000.0, path_loss_exponent=3.2, shadow_std_db=5.0)
+    # a config that sets the three fields draw_users reads
+    base = dict(r_max=1000.0, path_loss_exponent=3.2, shadow_std_db=5.0)
     base.update(kw)
     return SimConfig(**base)
 
@@ -26,7 +27,7 @@ class TestDrawUsers:
     def test_degenerate_annulus(self):
         cell = make_cell(r_max=100.0 + 1e-9)
         drawn = draw_users(100, cell, np.random.default_rng(1))
-        assert np.all(np.abs(drawn.distance / cell.r_min - 1.0) < 1e-10)
+        assert np.all(np.abs(drawn.distance / R_MIN - 1.0) < 1e-10)
         assert np.allclose(drawn.path_gain, drawn.shadowing, rtol=1e-9)
 
     def test_distance_cdf_kolmogorov_smirnov(self):
@@ -35,12 +36,12 @@ class TestDrawUsers:
         n = 10_000
         cell = make_cell()
         r = np.sort(draw_users(n, cell, np.random.default_rng(2)).distance)
-        cdf = (r**2 - cell.r_min**2) / (cell.r_max**2 - cell.r_min**2)
+        cdf = (r**2 - R_MIN**2) / (cell.r_max**2 - R_MIN**2)
         empirical_hi = np.arange(1, n + 1) / n
         empirical_lo = np.arange(0, n) / n
         ks = max(np.max(empirical_hi - cdf), np.max(cdf - empirical_lo))
         assert ks < 1.628 / np.sqrt(n)
-        assert r.min() >= cell.r_min and r.max() <= cell.r_max
+        assert r.min() >= R_MIN and r.max() <= cell.r_max
 
     def test_shadowing_std_at_corpus_level(self):
         drawn = draw_users(10_000, make_cell(), np.random.default_rng(3))

@@ -80,7 +80,7 @@ class TestDistortion:
         from ristx.harness import SimConfig
 
         rng = np.random.default_rng(3)
-        cfg = SimConfig(r_min=100.0, r_max=1000.0, path_loss_exponent=3.2, shadow_std_db=5.0)
+        cfg = SimConfig(r_max=1000.0, path_loss_exponent=3.2, shadow_std_db=5.0)
         users = draw_users(3, cfg, rng)
         fading = crandn(rng, 3, 6)
         chan = assemble_channel(users, fading)

@@ -2,7 +2,8 @@
 
 The README's library quick start must run as written, its CLI examples
 must parse, its CLI section must name the keys of a trial record, its
-package table must list every module, and ``ristx.harness``
+config block must be the default config, its package table must list every
+module, and ``ristx.harness``
 must keep calling through the names that ``perfbench/tracing.py`` patches,
 so that a traced replay still sees every stage of a trial.  Every ristx
 module must use each name it imports and each private name it defines, and
@@ -14,6 +15,7 @@ import ast
 import dataclasses
 import importlib.util
 import inspect
+import json
 import re
 import shlex
 import types
@@ -69,6 +71,13 @@ def test_readme_names_the_trial_record_keys():
     record = ristx.harness.run_trial(cfg, 2, 4, 1, 0, with_record=True)[1]
     assert [r["scheme"] for r in record["results"]] == ["single_rf", "mf_digital"]
     assert re.findall(r"`(\w+)`", keys) == list(record)
+
+
+def test_readme_config_block_is_the_default_config():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration", 1)[1]
+    block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    assert json.loads(block) == ristx.harness.SimConfig().to_dict()
 
 
 def test_version_matches_pyproject():
